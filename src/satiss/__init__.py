@@ -3,7 +3,7 @@ dissipative PDE control systems, with the linearized Korteweg-de Vries
 loop as the reference instance."""
 
 from .errors import CertificationError, ConfigError, DissipativityGateFailed, \
-    GridMismatchError, InfeasibleParameters, ParameterError
+    GridMismatchError, InfeasibleParameters, ParameterError, SimulationDiverged
 from .spaces import Grid, StateVector, boundary_envelope, inner_l2, norm_graph, \
     norm_l1, norm_l2, norm_linf, random_smooth_values
 from .saturation import AxiomReport, SaturationKind, SaturationMap, \

@@ -11,7 +11,8 @@ Configs are flat ``key = value`` text with dotted section keys, e.g.
 ``domain.L = 6.283185307179586``.  The environment variable
 ``SATISS_OUTPUT_ROOT`` prefixes relative output directories.  Exit codes:
 0 success, 2 configuration error, 3 gate failure (dissipativity or
-parameter infeasibility, or axiom violations), 4 certification failure.
+parameter infeasibility, or axiom violations) or a diverged integration
+(a non-finite state, named by step and member), 4 certification failure.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 from . import iss as iss_mod
 from . import lyapunov as lyap
 from .errors import CertificationError, ConfigError, DissipativityGateFailed, \
-    InfeasibleParameters, ParameterError
+    InfeasibleParameters, ParameterError, SimulationDiverged
 from .saturation import SaturationKind, check_axioms, hilbert_norm_map, \
     pointwise_linf_map
 from .spaces import Grid, StateVector, norm_graph
@@ -174,7 +175,8 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
     if e["analysis.dissipation"] not in _DISSIPATION_CHOICES:
         raise ConfigError("field 'analysis.dissipation' must be one of %s"
                           % (_DISSIPATION_CHOICES,))
-    k = 3.0 if e["saturation.kind"] == "hilbert_norm" else 1.0
+    sigma = _saturation_map(config)
+    k = sigma.lipschitz_k if sigma is not None else 1.0
     if e["time.dt"] * k >= 1.0:
         raise ConfigError("field 'time.dt' violates dt * k < 1 for the explicit "
                           "feedback term (k = %g)" % k)
@@ -532,6 +534,9 @@ def main(argv=None) -> int:
         return 2
     except (DissipativityGateFailed, InfeasibleParameters) as exc:
         print("gate failure: %s" % exc, file=sys.stderr)
+        return 3
+    except SimulationDiverged as exc:
+        print("divergence: %s" % exc, file=sys.stderr)
         return 3
     except CertificationError as exc:
         print("certification failure: %s" % exc, file=sys.stderr)

@@ -31,3 +31,13 @@ class ConfigError(ValueError):
 
 class CertificationError(RuntimeError):
     """A stability certificate could not be established on the given data."""
+
+
+class SimulationDiverged(RuntimeError):
+    """A recorded state of an integration is not finite."""
+
+    def __init__(self, step, member):
+        self.step = int(step)
+        self.member = int(member)
+        super().__init__("state of member %d is not finite at step %d"
+                         % (self.member, self.step))

@@ -80,8 +80,9 @@ def gronwall_gap(sys: SaturatedSystem, z0: StateVector, d, T: float, dt: float) 
     and bound the gap z~ = z^d - z per step."""
     k = sys.feedback_lipschitz
     norm_B = 1.0
-    disturbed = simulate(with_disturbance(sys, d), z0, T, dt)
-    free = simulate(with_disturbance(sys, zero_disturbance()), z0, T, dt)
+    disturbed, free = simulate([with_disturbance(sys, d),
+                                with_disturbance(sys, zero_disturbance())],
+                               [z0, z0], T, dt)
     h = sys.A.grid.spacing_h
     diff = disturbed.states - free.states
     gap = np.sqrt(h * np.sum(diff * diff, axis=1))
@@ -166,17 +167,18 @@ def fit_semiglobal(sys: SaturatedSystem, r_values, samples_per_r: int,
     if sys.d.kind is not DisturbanceKind.ZERO:
         raise ParameterError("semi-global fitting needs an undisturbed loop")
     grid = sys.A.grid
-    ks, mus, lifts = [], [], []
-    ensembles = {}
+    z0s = []
     for ir, r in enumerate(r_values):
-        runs = []
         for j in range(samples_per_r):
             rng = np.random.default_rng((rng_seed, ir, j))
             frac = 1.0 if j == 0 else rng.uniform(0.4, 1.0)
-            z0 = smooth_initial_data(grid, sys.A, r * frac, rng)
-            traj = simulate(sys, z0, T, dt)
-            runs.append((traj.times, traj.observables["norm_l2"],
-                         traj.observables["norm_l2"][0]))
+            z0s.append(smooth_initial_data(grid, sys.A, r * frac, rng))
+    trajs = simulate([sys] * len(z0s), z0s, T, dt, keep_states=False) if z0s else []
+    ks, mus, lifts = [], [], []
+    ensembles = {}
+    for ir, r in enumerate(r_values):
+        runs = [(traj.times, traj.observables["norm_l2"], traj.observables["norm_l2"][0])
+                for traj in trajs[ir * samples_per_r:(ir + 1) * samples_per_r]]
         K, mu, lift = _majorizing_exponential_fit(runs)
         ks.append(K)
         mus.append(mu)
@@ -258,11 +260,10 @@ def iss_certificate(sys: SaturatedSystem, z0_ensemble, d_ensemble,
     d_ensemble = list(d_ensemble)
     if not z0_ensemble or len(z0_ensemble) != len(d_ensemble):
         raise ParameterError("ensembles must be nonempty and of equal length")
-    runs = []
-    for z0, d in zip(z0_ensemble, d_ensemble):
-        traj = simulate(with_disturbance(sys, d), z0, T, dt)
-        runs.append((traj.times, traj.observables["norm_l2"],
-                     norm_l2(z0), _disturbance_energy(traj)))
+    trajs = simulate([with_disturbance(sys, d) for d in d_ensemble], z0_ensemble,
+                     T, dt, keep_states=False)
+    runs = [(traj.times, traj.observables["norm_l2"], norm_l2(z0),
+             _disturbance_energy(traj)) for z0, traj in zip(z0_ensemble, trajs)]
     free = [(t, n, n0) for t, n, n0, dnorm in runs if dnorm == 0.0 and n0 > 0]
     fit_base = free if free else [(t, n, n0) for t, n, n0, _ in runs if n0 > 0]
     if fit_base:

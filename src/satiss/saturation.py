@@ -90,6 +90,13 @@ def _sat_pointwise_values(values: np.ndarray, level: float) -> np.ndarray:
 
 
 def _sat_hilbert_values(values: np.ndarray, level: float, h: float) -> np.ndarray:
+    if values.ndim == 2:
+        # one retraction per member column, each through the same np.dot
+        # norm that check_axioms applies to a single state
+        out = np.empty_like(values)
+        for j in range(values.shape[1]):
+            out[:, j] = _sat_hilbert_values(values[:, j], level, h)
+        return out
     nrm = math.sqrt(h * float(np.dot(values, values)))
     if nrm <= level:
         return np.array(values, dtype=float)
@@ -103,6 +110,7 @@ def _sat_hilbert_values(values: np.ndarray, level: float, h: float) -> np.ndarra
 
 
 def _sat_values(kind: SaturationKind, values: np.ndarray, level: float, h: float) -> np.ndarray:
+    """sigma of one state (n,), or of each column of an (n, m) block."""
     if kind is SaturationKind.POINTWISE_LINF:
         return _sat_pointwise_values(values, level)
     return _sat_hilbert_values(values, level, h)

@@ -20,7 +20,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .errors import DissipativityGateFailed, GridMismatchError, ParameterError
+from .errors import DissipativityGateFailed, GridMismatchError, ParameterError, \
+    SimulationDiverged
 from .saturation import SaturationMap, _sat_values
 from .spaces import Grid, StateVector
 
@@ -211,13 +212,16 @@ class SaturatedSystem:
 
     def feedback_values(self, values: np.ndarray, t: float) -> np.ndarray:
         """sigma(B* z + d(t)); the applied input is the negative of this."""
-        arg = values + self.d.values_at(t, self.A.grid)
-        if self.sigma is None:
-            return arg
-        return _sat_values(self.sigma.kind, arg, self.sigma.level, self.A.grid.spacing_h)
+        return _feedback(self.sigma, values + self.d.values_at(t, self.A.grid),
+                         self.A.grid.spacing_h)
 
     def rhs_values(self, values: np.ndarray, t: float) -> np.ndarray:
         return self.A.matrix @ values - self.feedback_values(values, t)
+
+
+def _feedback(sigma: SaturationMap, arg: np.ndarray, h: float) -> np.ndarray:
+    """sigma(arg) for a state or a block; sigma = None is the identity."""
+    return arg if sigma is None else _sat_values(sigma.kind, arg, sigma.level, h)
 
 
 def assemble_closed_loop(A: LinearOperator, sigma: SaturationMap,
@@ -237,54 +241,77 @@ class _ImexStepper:
     (I - dt/2 A) z+ = (I + dt/2 A) z - dt sigma(B* zhat + d(t + dt/2)),
     zhat = z + dt/2 (A z - sigma(B* z + d(t))).
 
-    The half-step system matrix is LU-factored once per (A, dt).
+    It advances an (n, m) block of members, one column each, that share A
+    and sigma and differ in d.  Blocks are column-major, so every member's
+    column is contiguous and its reductions (``np.vecdot`` over axis 0) are
+    the BLAS dot that ``np.dot`` applies to a single state; a batch of one
+    reproduces the single-state arithmetic bit for bit.  The half-step
+    system matrix is LU-factored once per (A, dt) and one solve covers all
+    m columns.
     """
 
-    def __init__(self, sys: SaturatedSystem, dt: float):
+    def __init__(self, systems, dt: float):
+        sys0 = systems[0]
         if not dt > 0:
             raise ParameterError("dt must be positive")
-        if dt * sys.feedback_lipschitz >= 1.0:
+        if dt * sys0.feedback_lipschitz >= 1.0:
             raise ParameterError(
                 "dt * k = %g >= 1: explicit feedback term needs a smaller step"
-                % (dt * sys.feedback_lipschitz))
-        self.sys = sys
+                % (dt * sys0.feedback_lipschitz))
         self.dt = dt
-        n = sys.A.grid.n_interior
-        m = sparse.identity(n, format="csc") - (dt / 2.0) * sparse.csc_matrix(sys.A.matrix)
+        self.grid = sys0.A.grid
+        self._a_transposed = sys0.A.matrix.T
+        self._sigma = sys0.sigma
+        # cosine members as (m,) amplitude/frequency vectors, zero members
+        # as amplitude 0; table and custom members are filled per column
+        ds = [s.d for s in systems]
+        cosine = DisturbanceKind.COSINE_SCALED
+        self._amplitude = np.array([d.amplitude if d.kind is cosine else 0.0 for d in ds])
+        self._frequency = np.array([d.frequency if d.kind is cosine else 0.0 for d in ds])
+        self._tabulated = [(j, d) for j, d in enumerate(ds)
+                           if d.kind in (DisturbanceKind.PIECEWISE_CONSTANT_TABLE,
+                                         DisturbanceKind.CUSTOM)]
+        n = self.grid.n_interior
+        m = sparse.identity(n, format="csc") - (dt / 2.0) * sparse.csc_matrix(sys0.A.matrix)
         try:
             self._solve = splu(m).solve
         except RuntimeError as exc:
             raise ParameterError("half-step system is singular: %s" % exc)
 
-    def step_values(self, values: np.ndarray, t: float) -> np.ndarray:
-        sys = self.sys
+    def disturbance(self, t: float) -> np.ndarray:
+        """d(t) of every member as an (n, m) block."""
+        out = np.empty((self.grid.n_interior, len(self._amplitude)), order="F")
+        out[:] = self._amplitude * np.cos(self._frequency * t)
+        for j, d in self._tabulated:
+            out[:, j] = d.values_at(t, self.grid)
+        return out
+
+    def products(self, z: np.ndarray, t: float):
+        """(A z, sigma(B* z + d(t)), d(t)) for a block z at time t."""
+        d = self.disturbance(t)
+        # (z^T A^T)^T keeps the block column-major; for m = 1 it is the
+        # same BLAS gemv as A @ z
+        az = (z.T @ self._a_transposed).T
+        return az, _feedback(self._sigma, z + d, self.grid.spacing_h), d
+
+    def advance(self, z: np.ndarray, t: float, az: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The block at t + dt, from z and its products az = A z and
+        u = sigma(B* z + d(t))."""
         dt = self.dt
-        az = sys.A.matrix @ values
-        zhat = values + 0.5 * dt * (az - sys.feedback_values(values, t))
-        um = sys.feedback_values(zhat, t + 0.5 * dt)
-        return self._solve(values + 0.5 * dt * az - dt * um)
-
-
-_STEPPER_CACHE = {}
-
-
-def _stepper_for(sys: SaturatedSystem, dt: float) -> _ImexStepper:
-    key = (id(sys), float(dt))
-    hit = _STEPPER_CACHE.get(key)
-    if hit is not None and hit.sys is sys:
-        return hit
-    if len(_STEPPER_CACHE) > 16:
-        _STEPPER_CACHE.clear()
-    stepper = _ImexStepper(sys, dt)
-    _STEPPER_CACHE[key] = stepper
-    return stepper
+        zhat = z + 0.5 * dt * (az - u)
+        um = _feedback(self._sigma, zhat + self.disturbance(t + 0.5 * dt),
+                       self.grid.spacing_h)
+        return self._solve(z + 0.5 * dt * az - dt * um)
 
 
 def step(sys: SaturatedSystem, z: StateVector, t: float, dt: float) -> StateVector:
     """Advance one IMEX step from (z, t) to t + dt."""
     if z.grid != sys.A.grid:
         raise GridMismatchError("state and system live on different grids")
-    return StateVector(z.grid, _stepper_for(sys, dt).step_values(z.values, t))
+    stepper = _ImexStepper([sys], dt)
+    block = z.values[:, None]
+    az, u, _ = stepper.products(block, t)
+    return StateVector(z.grid, stepper.advance(block, t, az, u)[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +320,7 @@ class Trajectory:
 
     grid: Grid
     times: np.ndarray
-    states: np.ndarray  # row i is the state at times[i]
+    states: np.ndarray  # row i is the state at times[i]; None when not kept
     observables: dict
 
     OBSERVABLE_COLUMNS = ("norm_l2", "norm_linf", "norm_graph",
@@ -325,62 +352,98 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def simulate(sys: SaturatedSystem, z0: StateVector, T: float, dt: float,
-             observers: dict = None) -> Trajectory:
+def simulate(sys, z0, T: float, dt: float, observers: dict = None,
+             keep_states: bool = True):
     """Integrate the closed loop over [0, T] and record observables per step.
 
-    ``observers`` may supply callables ``{"V": f, "V1": g, "V2": h}`` mapping
-    a StateVector to a float; without them V defaults to ||z||^2 (identity
-    weight) and V1, V2 are recorded as NaN.
+    ``sys`` and ``z0`` are one system and one initial state, giving one
+    Trajectory, or equal-length lists of them, giving one Trajectory per
+    member; the listed systems must share ``A`` and ``sigma`` and may differ
+    in ``d``.  All members advance together as one block.  ``observers`` may
+    supply callables ``{"V": f, "V1": g, "V2": h}`` mapping a StateVector to
+    a float, applied to every member; without them V defaults to ||z||^2
+    (identity weight) and V1, V2 are recorded as NaN.  With
+    ``keep_states=False`` the state history is not stored and
+    ``Trajectory.states`` is None.  A non-finite recorded state raises
+    SimulationDiverged.
     """
+    batch = isinstance(sys, (list, tuple))
+    systems = list(sys) if batch else [sys]
+    z0s = list(z0) if batch else [z0]
+    if not systems or len(systems) != len(z0s):
+        raise ParameterError("systems and initial states must be nonempty lists "
+                             "of equal length")
     if not T > 0:
         raise ParameterError("horizon T must be positive")
     if not 0 < dt <= T:
         raise ParameterError("dt must lie in (0, T]")
-    if z0.grid != sys.A.grid:
+    sys0 = systems[0]
+    if any(s.A is not sys0.A or s.sigma != sys0.sigma for s in systems):
+        raise ParameterError("batched systems must share A and sigma")
+    grid = sys0.A.grid
+    if any(z0_j.grid != grid for z0_j in z0s):
         raise GridMismatchError("initial state and system live on different grids")
-    grid = sys.A.grid
     h = grid.spacing_h
-    a_matrix = sys.A.matrix
     observers = observers or {}
+    custom = [(c, observers[c]) for c in ("V", "V1", "V2") if c in observers]
 
     n_steps = max(1, int(math.ceil(T / dt - 1e-9)))
     last_dt = T - (n_steps - 1) * dt
-    stepper = _ImexStepper(sys, dt)
+    stepper = _ImexStepper(systems, dt)
     same_last = abs(last_dt - dt) <= 1e-12 * dt
-    stepper_last = stepper if same_last else _ImexStepper(sys, last_dt)
+    stepper_last = stepper if same_last else _ImexStepper(systems, last_dt)
 
+    m = len(systems)
     times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, grid.n_interior))
-    obs = {c: np.empty(n_steps + 1) for c in Trajectory.OBSERVABLE_COLUMNS}
+    states = np.empty((m, n_steps + 1, grid.n_interior)) if keep_states else None
+    # per member and step: max |z| and the sums of squares of z, A z,
+    # u = sigma(B* z + d) and d, all read from the step's own products
+    linf = np.empty((m, n_steps + 1))
+    squares = np.empty((4, m, n_steps + 1))
+    custom_obs = {c: np.empty((m, n_steps + 1)) for c, _ in custom}
 
-    def record(i, t, values):
-        times[i] = t
-        states[i] = values
-        nrm2 = h * float(np.dot(values, values))
-        obs["norm_l2"][i] = math.sqrt(max(nrm2, 0.0))
-        obs["norm_linf"][i] = float(np.max(np.abs(values)))
-        image = a_matrix @ values
-        obs["norm_graph"][i] = obs["norm_l2"][i] + math.sqrt(h * float(np.dot(image, image)))
-        zi = StateVector(grid, values)
-        obs["V"][i] = observers["V"](zi) if "V" in observers else nrm2
-        obs["V1"][i] = observers["V1"](zi) if "V1" in observers else math.nan
-        obs["V2"][i] = observers["V2"](zi) if "V2" in observers else math.nan
-        u = sys.feedback_values(values, t)
-        obs["norm_u"][i] = math.sqrt(h * float(np.dot(u, u)))
-        obs["norm_d"][i] = sys.d.norm_at(t, grid)
-
-    z = np.array(z0.values, dtype=float)
+    z = np.array([z0_j.values for z0_j in z0s]).T  # column-major (n, m) block
     t = 0.0
-    record(0, t, z)
-    for i in range(n_steps):
+    for i in range(n_steps + 1):
+        az, u, d = stepper.products(z, t)
+        np.abs(z).max(axis=0, out=linf[:, i])
+        if not math.isfinite(linf[:, i].max()):
+            raise SimulationDiverged(i, int(np.argmin(np.isfinite(linf[:, i]))))
+        times[i] = t
+        if keep_states:
+            states[:, i] = z.T
+        for k, block in enumerate((z, az, u, d)):
+            np.vecdot(block, block, axis=0, out=squares[k, :, i])
+        if custom:
+            for j in range(m):
+                zj = StateVector(grid, z[:, j])
+                for c, f in custom:
+                    custom_obs[c][j, i] = f(zj)
         if i < n_steps - 1:
-            z = stepper.step_values(z, t)
+            z = stepper.advance(z, t, az, u)
             t = (i + 1) * dt
-        else:
-            z = stepper_last.step_values(z, t)
+        elif i == n_steps - 1:
+            z = stepper_last.advance(z, t, az, u)
             t = T
-        record(i + 1, t, z)
-    states.setflags(write=False)
     times.setflags(write=False)
-    return Trajectory(grid=grid, times=times, states=states, observables=obs)
+    if keep_states:
+        states.setflags(write=False)
+    # the norms, computed in place to keep one (m, steps) array per column
+    squares *= h
+    nrm2, norm_graph, norm_u, norm_d = squares
+    norm_l2 = np.sqrt(nrm2)
+    np.sqrt(norm_graph, out=norm_graph)
+    norm_graph += norm_l2
+    np.sqrt(norm_u, out=norm_u)
+    np.sqrt(norm_d, out=norm_d)
+    obs = {"norm_l2": norm_l2, "norm_linf": linf, "norm_graph": norm_graph,
+           "V": nrm2, "V1": np.full((m, n_steps + 1), math.nan),
+           "V2": np.full((m, n_steps + 1), math.nan),
+           "norm_u": norm_u, "norm_d": norm_d}
+    obs.update(custom_obs)
+    trajectories = [
+        Trajectory(grid=grid, times=times,
+                   states=states[j] if keep_states else None,
+                   observables={c: obs[c][j] for c in Trajectory.OBSERVABLE_COLUMNS})
+        for j in range(m)]
+    return trajectories if batch else trajectories[0]

@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from satiss import cli
 from satiss.cli import main, parse_config_text, reproduce_figure1, run_experiment
-from satiss.errors import ConfigError
+from satiss.errors import ConfigError, SimulationDiverged
 
 from conftest import L
 
@@ -116,6 +117,17 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     bad = write_config(tmp_path, "domain.L = -1\n", name="bad.cfg")
     assert main(["run", str(bad)]) == 2
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_cli_divergence_exit_code(tmp_path, capsys, monkeypatch):
+    def diverging(*args, **kwargs):
+        raise SimulationDiverged(7, 2)
+
+    monkeypatch.setattr(cli, "simulate", diverging)
+    cfg_path = write_config(tmp_path, MINIMAL.format(out=tmp_path / "div_out"))
+    assert main(["run", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert "member 2" in err and "step 7" in err
 
 
 def test_cli_axioms_verb(capsys):

@@ -1,10 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from satiss import CertificationError, ParameterError, StateVector, \
-    assemble_closed_loop, brs_check, cosine_disturbance, fit_semiglobal, \
+from satiss import CertificationError, Grid, ParameterError, StateVector, \
+    assemble_closed_loop, brs_check, build_kdv_operator, cli, iss, system, cosine_disturbance, fit_semiglobal, \
     globalize, gronwall_gap, hilbert_norm_map, iss_certificate, norm_graph, \
     norm_l2, pointwise_linf_map, simulate, smooth_initial_data, zero_disturbance
 from satiss.iss import SemiGlobalFit, _majorizing_exponential_fit
@@ -238,3 +239,29 @@ def test_brs_check_contraction_and_adversarial(kdv127, grid127, z0_cosine):
     ok, worst = brs_check(traj, 1e-9)
     assert not ok
     assert worst < 0.0
+
+
+def test_iss_certificate_batch_matches_member_runs(monkeypatch):
+    # the certify.cfg ensemble at T = 0.5: one batched integration against
+    # one integration per member, through the same fit
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "configs",
+                        "certify.cfg")
+    config = cli.parse_config(path)
+    config.entries["time.T"] = 0.5
+    grid = Grid(config["domain.L"], config["domain.n_interior"])
+    A = build_kdv_operator(grid)
+    loop = assemble_closed_loop(A, pointwise_linf_map(config["saturation.level"],
+                                                      config["domain.L"]))
+    batched = cli._run_certificate(config, loop, grid, A, 0.5, config["time.dt"])
+
+    def one_by_one(systems, z0s, T, dt, **kwargs):
+        return [system.simulate(s, z, T, dt, **kwargs) for s, z in zip(systems, z0s)]
+
+    monkeypatch.setattr(iss, "simulate", one_by_one)
+    single = cli._run_certificate(config, loop, grid, A, 0.5, config["time.dt"])
+    assert batched.ensemble_size == single.ensemble_size == 20
+    for name in ("K", "mu", "rho_gain"):
+        assert getattr(batched, name) == pytest.approx(getattr(single, name),
+                                                       rel=1e-12, abs=0.0)
+    assert abs(batched.max_violation - single.max_violation) <= 1e-12
+    assert batched.valid() and single.valid()

@@ -6,7 +6,8 @@ import pytest
 from satiss import Grid, ParameterError, StateVector, check_axioms, \
     estimate_item5_C0, hilbert_norm_map, norm_l2, norm_linf, \
     pointwise_linf_map, sat_hilbert, sat_pointwise, sat_scalar
-from satiss.saturation import SaturationKind, SaturationMap, apply_saturation
+from satiss.saturation import SaturationKind, SaturationMap, _sat_values, \
+    apply_saturation
 
 from conftest import L
 
@@ -177,3 +178,25 @@ def test_axiom_report_kv_text():
                           "lipschitz_estimate", "item4_max_residual",
                           "item5_C0_estimate", "samples_used"}
     assert lines["samples_used"] == "50"
+
+
+def test_sat_values_block_matches_columns_bit_for_bit():
+    # the integrator saturates a column-major (n, m) block of members; each
+    # column must equal the single-state map exactly, round-up guard included
+    g = Grid(L, 127)
+    h = g.spacing_h
+    rng = np.random.default_rng(4)
+    block = np.asfortranarray(rng.uniform(-3.0, 3.0, (127, 64)))
+    block[:, :8] *= 0.05  # inside the unit ball
+    for kind in SaturationKind:
+        out = _sat_values(kind, block, 1.0, h)
+        assert out.shape == block.shape
+        for j in range(64):
+            np.testing.assert_array_equal(out[:, j],
+                                          _sat_values(kind, block[:, j].copy(), 1.0, h))
+    out = _sat_values(SaturationKind.HILBERT_NORM, block, 1.0, h)
+    norms = np.sqrt(h * np.vecdot(block, block, axis=0))
+    guarded = [j for j in range(8, 64)
+               if np.any(out[:, j] != block[:, j] * (1.0 / norms[j]))]
+    assert guarded  # the round-up guard fired on some columns
+    np.testing.assert_array_equal(out[:, :8], block[:, :8])

@@ -5,11 +5,12 @@ import pytest
 import sympy
 
 from satiss import Grid, GridMismatchError, \
-    ParameterError, StateVector, assemble_closed_loop, build_kdv_operator, \
-    check_dissipativity, cosine_disturbance, custom_disturbance, norm_l2, \
-    simulate, smooth_initial_data, step, table_disturbance, zero_disturbance
+    ParameterError, SimulationDiverged, StateVector, assemble_closed_loop, \
+    build_kdv_operator, check_dissipativity, cosine_disturbance, \
+    custom_disturbance, norm_l2, simulate, smooth_initial_data, step, \
+    table_disturbance, zero_disturbance
 from satiss.saturation import hilbert_norm_map, pointwise_linf_map
-from satiss.system import LinearOperator, dissipativity_tolerance
+from satiss.system import LinearOperator, Trajectory, dissipativity_tolerance
 
 from conftest import L
 
@@ -268,3 +269,55 @@ def test_trajectory_csv_export(tmp_path, kdv127, grid127, z0_cosine):
     again = tmp_path / "again.csv"
     traj.write_observables_csv(again)
     assert again.read_bytes() == obs_path.read_bytes()
+
+
+@pytest.mark.parametrize("sigma", [pointwise_linf_map(1.0, L), hilbert_norm_map(1.0)],
+                         ids=["pointwise", "hilbert"])
+def test_batched_simulate_matches_member_runs(kdv127, grid127, z0_cosine, sigma):
+    # the block differs from single runs only in how the dense product sums
+    x = grid127.interior_nodes()
+    table = table_disturbance([0.0, 0.02, 0.04],
+                              [np.zeros(127), 0.3 * np.sin(x), -0.2 * np.ones(127)])
+    disturbances = [zero_disturbance(), cosine_disturbance(0.1, 1.9), table]
+    systems = [assemble_closed_loop(kdv127, sigma, d) for d in disturbances]
+    z0s = [StateVector(grid127, s * z0_cosine.values) for s in (0.2, 1.0, 2.0)]
+    T, dt = 0.0505, 1e-3  # partial last step
+    batch = simulate(systems, z0s, T, dt)
+    lean = simulate(systems, z0s, T, dt, keep_states=False)
+    assert len(batch) == len(lean) == 3
+    for member, lean_member, sys_j, z0 in zip(batch, lean, systems, z0s):
+        alone = simulate(sys_j, z0, T, dt)
+        np.testing.assert_array_equal(member.times, alone.times)
+        scale = np.max(np.abs(alone.states))
+        assert np.max(np.abs(member.states - alone.states)) <= 1e-12 * scale
+        for c in Trajectory.OBSERVABLE_COLUMNS:
+            np.testing.assert_allclose(member.observables[c], alone.observables[c],
+                                       rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(lean_member.observables[c],
+                                          member.observables[c])
+        assert lean_member.states is None
+
+
+def test_batched_simulate_rejects_mixed_members(kdv127, z0_cosine):
+    pointwise = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L))
+    hilbert = assemble_closed_loop(kdv127, hilbert_norm_map(1.0))
+    with pytest.raises(ParameterError, match="share"):
+        simulate([pointwise, hilbert], [z0_cosine, z0_cosine], 0.01, 1e-3)
+    with pytest.raises(ParameterError, match="equal length"):
+        simulate([pointwise], [z0_cosine, z0_cosine], 0.01, 1e-3)
+    with pytest.raises(ParameterError, match="equal length"):
+        simulate([], [], 0.01, 1e-3)
+
+
+def test_simulate_non_finite_state_raises_diverged(kdv127, z0_cosine):
+    # d turns NaN after t = 5e-3: the half step from t = 5e-3 is the first
+    # to see it, so the state recorded at step 6 is the first non-finite one
+    sigma = pointwise_linf_map(1.0, L)
+    broken = assemble_closed_loop(
+        kdv127, sigma, custom_disturbance(lambda t: math.nan if t > 5e-3 else 0.0))
+    with pytest.raises(SimulationDiverged) as info:
+        simulate(broken, z0_cosine, 0.02, 1e-3)
+    assert (info.value.step, info.value.member) == (6, 0)
+    healthy = assemble_closed_loop(kdv127, sigma, zero_disturbance())
+    with pytest.raises(SimulationDiverged, match="member 1 is not finite at step 6"):
+        simulate([healthy, broken], [z0_cosine, z0_cosine], 0.02, 1e-3)
