@@ -11,9 +11,9 @@ from .saturation import AxiomReport, SaturationKind, SaturationMap, \
     pointwise_linf_map, sat_hilbert, sat_pointwise, sat_scalar
 from .system import DisturbanceKind, DisturbanceSignal, LinearOperator, \
     SaturatedSystem, Trajectory, assemble_closed_loop, build_kdv_operator, \
-    check_dissipativity, cosine_disturbance, custom_disturbance, \
-    identity_operator, linear_loop_operator, simulate, step, table_disturbance, \
-    with_disturbance, zero_disturbance
+    cosine_disturbance, custom_disturbance, identity_operator, \
+    linear_loop_operator, simulate, step, table_disturbance, with_disturbance, \
+    zero_disturbance
 from .lyapunov import DissipationReport, LyapunovParams, case1_decrease_coeff, \
     case1_iss_gain, case1_params, case2_decay_rate, case2_params, \
     dissipation_report, estimate_embedding_constant, measure_decay_constant, \

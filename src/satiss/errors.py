@@ -34,10 +34,11 @@ class CertificationError(RuntimeError):
 
 
 class SimulationDiverged(RuntimeError):
-    """A recorded state of an integration is not finite."""
+    """A recorded state or norm of an integration is not finite."""
 
-    def __init__(self, step, member):
+    def __init__(self, step, member, quantity="state"):
         self.step = int(step)
         self.member = int(member)
-        super().__init__("state of member %d is not finite at step %d"
-                         % (self.member, self.step))
+        self.quantity = quantity
+        super().__init__("%s of member %d is not finite at step %d"
+                         % (quantity, self.member, self.step))

@@ -50,7 +50,7 @@ class LyapunovParams:
             scale = max(float(np.max(np.abs(m))), 1.0)
             if float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
                 raise ParameterError("weight operator P must be symmetric")
-            if float(np.linalg.eigvalsh(0.5 * (m + m.T))[0]) <= 0.0:
+            if self.P.symmetric_eigenvalue(0) <= 0.0:
                 raise ParameterError("weight operator P must be positive definite")
 
 

@@ -15,9 +15,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigvals_banded
 from scipy.sparse.linalg import splu
 
 from .errors import DissipativityGateFailed, GridMismatchError, ParameterError, \
@@ -30,13 +32,29 @@ from .spaces import Grid, StateVector
 DISSIPATIVITY_TOLERANCE_FACTOR = 1e-8
 
 
+def _band_eigenvalue(lower_diagonals, index: int) -> float:
+    """Eigenvalue number ``index`` (ascending; -1 is the largest) of the
+    symmetric matrix whose main and lower diagonals are ``lower_diagonals``
+    (main first), by banded LAPACK on its lower band form."""
+    n = len(lower_diagonals[0])
+    band = np.zeros((len(lower_diagonals), n))
+    for k, diagonal in enumerate(lower_diagonals):
+        band[k, :n - k] = diagonal
+    i = index % n
+    return float(eigvals_banded(band, lower=True, select="i", select_range=(i, i))[0])
+
+
 @dataclass(frozen=True, eq=False)
 class LinearOperator:
-    """Dense matrix realization of a linear operator on grid functions."""
+    """Dense matrix realization of a linear operator on grid functions.
+
+    The spectral values the gates read come from the matrix's band, found
+    once per operator, and are computed on first use.  A general dense
+    matrix is a band of full width and takes the same route.
+    """
 
     grid: Grid
     matrix: np.ndarray
-    max_symmetric_eigenvalue: float = field(init=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -46,9 +64,54 @@ class LinearOperator:
                 "operator is %r but the grid has %d interior nodes" % (m.shape, n))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        sym = 0.5 * (m + m.T)
-        lam = float(np.linalg.eigvalsh(sym)[-1])
-        object.__setattr__(self, "max_symmetric_eigenvalue", lam)
+
+    @cached_property
+    def bandwidth(self) -> int:
+        """Largest |i - j| over the nonzero entries (0 for a zero matrix)."""
+        nonzero = self.matrix != 0
+        n = len(nonzero)
+        rows = np.arange(n)
+        first = nonzero.argmax(axis=1)
+        last = n - 1 - nonzero[:, ::-1].argmax(axis=1)
+        reach = np.maximum(rows - first, last - rows)
+        return int(np.max(reach, where=nonzero[rows, first], initial=0))
+
+    @cached_property
+    def csc(self) -> sparse.csc_matrix:
+        """The matrix in compressed sparse column form, built from its band."""
+        m, p = self.matrix, self.bandwidth
+        offsets = range(-p, p + 1)
+        out = sparse.diags([np.diagonal(m, k) for k in offsets], offsets, format="csc")
+        out.eliminate_zeros()  # zeros inside the band are not stored, as in csc_matrix(m)
+        return out
+
+    def symmetric_eigenvalue(self, index: int) -> float:
+        """Eigenvalue number ``index`` (ascending; -1 is the largest) of the
+        symmetric part (A + A^T) / 2."""
+        m = self.matrix
+        return _band_eigenvalue([0.5 * np.diagonal(m, -k) + 0.5 * np.diagonal(m, k)
+                                 for k in range(self.bandwidth + 1)], index)
+
+    @cached_property
+    def max_symmetric_eigenvalue(self) -> float:
+        """lambda_max of the symmetric part: the value the dissipativity gate
+        and the decay constant read."""
+        return self.symmetric_eigenvalue(-1)
+
+    @cached_property
+    def spectral_norm(self) -> float:
+        """||A||_2 = s sqrt(lambda_max((A/s)^T (A/s))) with s = max |a_ij|.
+
+        The Gram matrix has twice the bandwidth of A; the scaling keeps it
+        finite for stencil entries near the top of the double range."""
+        s = float(np.max(np.abs(self.csc.data), initial=0.0))
+        if s == 0.0:
+            return 0.0
+        scaled = self.csc / s
+        gram = (scaled.T @ scaled).tocsr()
+        width = min(2 * self.bandwidth, len(self.matrix) - 1)
+        lam = _band_eigenvalue([gram.diagonal(-k) for k in range(width + 1)], -1)
+        return s * math.sqrt(lam)
 
     def apply(self, z: StateVector) -> StateVector:
         if z.grid != self.grid:
@@ -61,7 +124,16 @@ def identity_operator(grid: Grid) -> LinearOperator:
 
 
 def dissipativity_tolerance(op: LinearOperator) -> float:
-    return DISSIPATIVITY_TOLERANCE_FACTOR * float(np.linalg.norm(op.matrix, 2))
+    return DISSIPATIVITY_TOLERANCE_FACTOR * op.spectral_norm
+
+
+def dissipativity_gate(op: LinearOperator) -> LinearOperator:
+    """``op`` itself if lambda_max(sym A) is within the gate tolerance;
+    raises DissipativityGateFailed otherwise."""
+    tol = dissipativity_tolerance(op)
+    if op.max_symmetric_eigenvalue > tol:
+        raise DissipativityGateFailed(op.max_symmetric_eigenvalue, tol)
+    return op
 
 
 def build_kdv_operator(grid: Grid) -> LinearOperator:
@@ -84,36 +156,28 @@ def build_kdv_operator(grid: Grid) -> LinearOperator:
         raise ParameterError("the dispersion stencil needs at least 5 interior nodes")
     h = grid.spacing_h
     c1 = 1.0 / h
-    c3 = 1.0 / (2.0 * h**3)
-    main = np.full(n, -c1)
-    main[-1] += -c3  # reflected ghost z_{n+2} = z_n
-    sub1 = np.full(n - 1, c1 - 2.0 * c3)
-    sup1 = np.full(n - 1, 2.0 * c3)
-    sub2 = np.full(n - 2, c3)
-    sup2 = np.full(n - 2, -c3)
-    m = (np.diag(main) + np.diag(sub1, -1) + np.diag(sup1, 1)
-         + np.diag(sub2, -2) + np.diag(sup2, 2))
-    op = LinearOperator(grid, m)
-    tol = dissipativity_tolerance(op)
-    if op.max_symmetric_eigenvalue > tol:
-        raise DissipativityGateFailed(op.max_symmetric_eigenvalue, tol)
-    return op
+    try:
+        c3 = 1.0 / (2.0 * h**3)
+    except (OverflowError, ZeroDivisionError):
+        c3 = math.nan
+    if not 0.0 < c3 < math.inf:
+        raise ParameterError("grid spacing h = %g leaves the dispersion stencil "
+                             "1 / (2 h^3) outside the finite nonzero doubles" % h)
+    m = np.zeros((n, n))
+    np.fill_diagonal(m, -c1)
+    m[-1, -1] += -c3  # reflected ghost z_{n+2} = z_n
+    np.fill_diagonal(m[1:], c1 - 2.0 * c3)
+    np.fill_diagonal(m[:, 1:], 2.0 * c3)
+    np.fill_diagonal(m[2:], c3)
+    np.fill_diagonal(m[:, 2:], -c3)
+    return dissipativity_gate(LinearOperator(grid, m))
 
 
 def linear_loop_operator(A: LinearOperator) -> LinearOperator:
     """Generator A - B B* of the unsaturated feedback loop (B = identity)."""
-    return LinearOperator(A.grid, A.matrix - np.eye(A.grid.n_interior))
-
-
-def check_dissipativity(A: LinearOperator, n_samples: int = 256, rng_seed: int = 0) -> float:
-    """Largest Rayleigh quotient <A z, z> / ||z||^2 over random states and the eigen bound."""
-    worst = A.max_symmetric_eigenvalue
-    rng = np.random.default_rng(rng_seed)
-    m = A.matrix
-    for _ in range(n_samples):
-        z = rng.standard_normal(A.grid.n_interior)
-        worst = max(worst, float(z @ (m @ z)) / float(z @ z))
-    return worst
+    m = np.array(A.matrix)
+    np.fill_diagonal(m, m.diagonal() - 1.0)
+    return LinearOperator(A.grid, m)
 
 
 class DisturbanceKind(enum.Enum):
@@ -272,7 +336,7 @@ class _ImexStepper:
                            if d.kind in (DisturbanceKind.PIECEWISE_CONSTANT_TABLE,
                                          DisturbanceKind.CUSTOM)]
         n = self.grid.n_interior
-        m = sparse.identity(n, format="csc") - (dt / 2.0) * sparse.csc_matrix(sys0.A.matrix)
+        m = sparse.identity(n, format="csc") - (dt / 2.0) * sys0.A.csc
         try:
             self._solve = splu(m).solve
         except RuntimeError as exc:
@@ -364,8 +428,8 @@ def simulate(sys, z0, T: float, dt: float, observers: dict = None,
     a float, applied to every member; without them V defaults to ||z||^2
     (identity weight) and V1, V2 are recorded as NaN.  With
     ``keep_states=False`` the state history is not stored and
-    ``Trajectory.states`` is None.  A non-finite recorded state raises
-    SimulationDiverged.
+    ``Trajectory.states`` is None.  A non-finite recorded state or norm
+    raises SimulationDiverged.
     """
     batch = isinstance(sys, (list, tuple))
     systems = list(sys) if batch else [sys]
@@ -430,6 +494,12 @@ def simulate(sys, z0, T: float, dt: float, observers: dict = None,
         states.setflags(write=False)
     # the norms, computed in place to keep one (m, steps) array per column
     squares *= h
+    bad = ~np.isfinite(squares)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=(0, 1))))
+        j = int(np.argmax(bad[:, :, i].any(axis=0)))
+        k = int(np.argmax(bad[:, j, i]))
+        raise SimulationDiverged(i, j, ("norm_l2", "norm_graph", "norm_u", "norm_d")[k])
     nrm2, norm_graph, norm_u, norm_d = squares
     norm_l2 = np.sqrt(nrm2)
     np.sqrt(norm_graph, out=norm_graph)

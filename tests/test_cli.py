@@ -130,6 +130,17 @@ def test_cli_divergence_exit_code(tmp_path, capsys, monkeypatch):
     assert "member 2" in err and "step 7" in err
 
 
+@pytest.mark.parametrize("length, code, message", [
+    ("1e300", 2, "config error: grid spacing h = "),
+    ("1e-100", 3, "divergence: norm_graph of member 0 is not finite at step 0"),
+])
+def test_cli_grid_extremes_exit_typed(tmp_path, capsys, length, code, message):
+    body = MINIMAL.format(out=tmp_path / "extreme_out").replace(
+        "domain.L = 6.283185307179586", "domain.L = " + length)
+    assert main(["run", str(write_config(tmp_path, body))]) == code
+    assert message in capsys.readouterr().err
+
+
 def test_cli_axioms_verb(capsys):
     assert main(["axioms", "pointwise", "1.0", "--samples", "200"]) == 0
     out = capsys.readouterr().out

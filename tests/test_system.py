@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 import sympy
 
-from satiss import Grid, GridMismatchError, \
+from scipy import sparse
+
+from satiss import DissipativityGateFailed, Grid, GridMismatchError, \
     ParameterError, SimulationDiverged, StateVector, assemble_closed_loop, \
-    build_kdv_operator, check_dissipativity, cosine_disturbance, \
-    custom_disturbance, norm_l2, simulate, smooth_initial_data, step, \
+    build_kdv_operator, cosine_disturbance, custom_disturbance, \
+    linear_loop_operator, norm_l2, simulate, smooth_initial_data, step, \
     table_disturbance, zero_disturbance
 from satiss.saturation import hilbert_norm_map, pointwise_linf_map
-from satiss.system import LinearOperator, Trajectory, dissipativity_tolerance
+from satiss.system import LinearOperator, Trajectory, dissipativity_gate, \
+    dissipativity_tolerance
 
 from conftest import L
 
@@ -58,17 +61,75 @@ def test_dissipativity_gate_passes(kdv127):
     assert kdv127.max_symmetric_eigenvalue < 0.0
 
 
-def test_check_dissipativity_examples(grid127, kdv127):
+def test_max_symmetric_eigenvalue_examples(grid127, kdv127):
     n = grid127.n_interior
     minus_identity = LinearOperator(grid127, -np.eye(n))
-    assert check_dissipativity(minus_identity, 64, 0) == pytest.approx(-1.0, abs=1e-12)
+    assert minus_identity.max_symmetric_eigenvalue == pytest.approx(-1.0, abs=1e-12)
 
     rng = np.random.default_rng(1)
     raw = rng.standard_normal((n, n))
     skew = LinearOperator(grid127, raw - raw.T)
-    assert check_dissipativity(skew, 64, 0) <= 1e-12
+    assert skew.max_symmetric_eigenvalue <= 1e-12
 
-    assert check_dissipativity(kdv127, 64, 0) <= 1e-8
+    assert kdv127.max_symmetric_eigenvalue <= dissipativity_tolerance(kdv127)
+
+
+def _assert_spectra_match_dense(op):
+    m = op.matrix
+    sym = np.linalg.eigvalsh(0.5 * (m + m.T))
+    assert op.max_symmetric_eigenvalue == pytest.approx(sym[-1], rel=1e-10)
+    assert op.symmetric_eigenvalue(0) == pytest.approx(sym[0], rel=1e-10)
+    assert op.spectral_norm == pytest.approx(np.linalg.norm(m, 2), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [5, 127, 1023])
+def test_banded_spectra_match_dense(n):
+    A = build_kdv_operator(Grid(L, n))
+    assert A.bandwidth == 2
+    _assert_spectra_match_dense(A)
+    _assert_spectra_match_dense(linear_loop_operator(A))
+
+
+def test_banded_spectra_of_full_band_operator(grid127):
+    rng = np.random.default_rng(3)
+    op = LinearOperator(grid127, rng.standard_normal((127, 127)))
+    assert op.bandwidth == 126
+    _assert_spectra_match_dense(op)
+    corner = np.zeros((127, 127))
+    corner[126, 0] = 1.0
+    assert LinearOperator(grid127, corner).bandwidth == 126
+    zero = LinearOperator(grid127, np.zeros((127, 127)))
+    assert (zero.bandwidth, zero.max_symmetric_eigenvalue, zero.spectral_norm) \
+        == (0, 0.0, 0.0)
+
+
+def test_band_csc_equals_dense_conversion(kdv127):
+    dense = sparse.csc_matrix(kdv127.matrix)
+    for part in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(kdv127.csc, part), getattr(dense, part))
+
+
+def test_gate_rejects_shifted_operator(grid127, kdv127):
+    assert dissipativity_gate(kdv127) is kdv127
+    shifted = LinearOperator(grid127, kdv127.matrix + 0.1 * np.eye(127))
+    with pytest.raises(DissipativityGateFailed) as info:
+        dissipativity_gate(shifted)
+    assert info.value.lambda_max == pytest.approx(
+        kdv127.max_symmetric_eigenvalue + 0.1, rel=1e-10)
+
+
+def test_gate_tolerance_finite_at_tiny_domain():
+    # stencil entries near 1e306: an unscaled Gram matrix would overflow
+    A = build_kdv_operator(Grid(1e-100, 127))
+    expected = 1e-8 * np.linalg.norm(A.matrix, 2)
+    assert math.isfinite(dissipativity_tolerance(A))
+    assert dissipativity_tolerance(A) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("length", [1e300, 1e-110])
+def test_kdv_rejects_unrepresentable_spacing(length):
+    with pytest.raises(ParameterError, match="h = "):
+        build_kdv_operator(Grid(length, 127))
 
 
 def test_operator_apply_and_mismatch(kdv127, grid127):
@@ -321,3 +382,16 @@ def test_simulate_non_finite_state_raises_diverged(kdv127, z0_cosine):
     healthy = assemble_closed_loop(kdv127, sigma, zero_disturbance())
     with pytest.raises(SimulationDiverged, match="member 1 is not finite at step 6"):
         simulate([healthy, broken], [z0_cosine, z0_cosine], 0.02, 1e-3)
+
+
+def test_simulate_non_finite_norm_raises_diverged():
+    # the state stays finite, but ||A z||^2 overflows at every step
+    grid = Grid(1e-100, 31)
+    A = build_kdv_operator(grid)
+    z0 = StateVector(grid, 1.0 - np.cos(2.0 * np.pi * grid.interior_nodes() / 1e-100))
+    sys_sat = assemble_closed_loop(A, pointwise_linf_map(1.0, 1e-100))
+    with pytest.raises(SimulationDiverged,
+                       match="norm_graph of member 0 is not finite at step 0") as info:
+        simulate(sys_sat, z0, 2e-3, 1e-3)
+    assert (info.value.step, info.value.member, info.value.quantity) \
+        == (0, 0, "norm_graph")
