@@ -89,28 +89,35 @@ def _sat_pointwise_values(values: np.ndarray, level: float) -> np.ndarray:
     return np.clip(values, -level, level)
 
 
+def _column_norms(values: np.ndarray, h: float) -> np.ndarray:
+    """L2 norm of a state (n,), or of each column of an (n, m) block.
+
+    The columns must be contiguous: a strided reduction sums in another
+    order than ``np.dot`` on a single state and differs in the last bits.
+    """
+    return np.sqrt(h * np.vecdot(values, values, axis=0))
+
+
 def _sat_hilbert_values(values: np.ndarray, level: float, h: float) -> np.ndarray:
-    if values.ndim == 2:
-        # one retraction per member column, each through the same np.dot
-        # norm that check_axioms applies to a single state
-        out = np.empty_like(values)
-        for j in range(values.shape[1]):
-            out[:, j] = _sat_hilbert_values(values[:, j], level, h)
-        return out
-    nrm = math.sqrt(h * float(np.dot(values, values)))
-    if nrm <= level:
+    nrm = _column_norms(values, h)
+    if not np.count_nonzero(nrm > level):
         return np.array(values, dtype=float)
-    out = values * (level / nrm)
+    # level / max(nrm, level) is level / nrm on the columns outside the
+    # ball and exactly 1 on the others
+    out = values * (level / np.maximum(nrm, level))
     # guard against round-up past the ball so that a second application
     # is exactly the identity
-    nrm2 = math.sqrt(h * float(np.dot(out, out)))
-    if nrm2 > level:
-        out = out * (level / nrm2) * (1.0 - 2.0**-50)
+    nrm2 = _column_norms(out, h)
+    over = nrm2 > level
+    if np.count_nonzero(over):
+        out *= level / np.maximum(nrm2, level)
+        np.multiply(out, 1.0 - 2.0**-50, out=out, where=over)
     return out
 
 
 def _sat_values(kind: SaturationKind, values: np.ndarray, level: float, h: float) -> np.ndarray:
-    """sigma of one state (n,), or of each column of an (n, m) block."""
+    """sigma of one state (n,), or of each column of an (n, m) block whose
+    columns are contiguous (see ``_column_norms``)."""
     if kind is SaturationKind.POINTWISE_LINF:
         return _sat_pointwise_values(values, level)
     return _sat_hilbert_values(values, level, h)
@@ -168,22 +175,69 @@ def _sample_values(grid: Grid, rng, amplitude: float) -> np.ndarray:
     if rng.random() < 0.5:
         return rng.uniform(-amplitude, amplitude, grid.n_interior)
     v = random_smooth_values(grid, rng, n_modes=8, mode_decay=1.5)
-    peak = float(np.max(np.abs(v)))
+    peak = np.abs(v).max()
     if peak == 0.0:
         return np.zeros(grid.n_interior)
     return v * (amplitude * rng.uniform(0.2, 1.0) / peak)
 
 
-def _s_norm(kind: SaturationKind, values: np.ndarray, h: float) -> float:
-    if kind is SaturationKind.POINTWISE_LINF:
-        return float(np.max(np.abs(values)))
-    return math.sqrt(h * float(np.dot(values, values)))
+#: Samples per block of the axiom sweep: a few hundred kB per block array,
+#: whatever the sample count.
+_CHUNK = 256
 
 
-def _sprime_norm(kind: SaturationKind, values: np.ndarray, h: float) -> float:
+def _sample_blocks(grid: Grid, n_samples: int, rng_seed: int, n_blocks: int, draw):
+    """Yield ``n_blocks`` (n, m) blocks of at most ``_CHUNK`` samples each time.
+
+    Sample i fills one column of each block with the states ``draw(rng)``
+    returns for its own stream ``default_rng((rng_seed, i))``, so a block
+    holds the states a per-sample evaluation would see.  The columns are the
+    contiguous rows of a C-order array; the yielded views are overwritten
+    by the next block.
+    """
+    arrays = [np.empty((_CHUNK, grid.n_interior)) for _ in range(n_blocks)]
+    for start in range(0, n_samples, _CHUNK):
+        m = min(_CHUNK, n_samples - start)
+        for i in range(m):
+            sample = draw(np.random.default_rng((rng_seed, start + i)))
+            for array, state in zip(arrays, sample):
+                array[i] = state
+        yield [array[:m].T for array in arrays]
+
+
+def _s_norm(kind: SaturationKind, values: np.ndarray, h: float) -> np.ndarray:
     if kind is SaturationKind.POINTWISE_LINF:
-        return float(h * np.sum(np.abs(values)))
-    return math.sqrt(h * float(np.dot(values, values)))
+        return np.max(np.abs(values), axis=0)
+    return _column_norms(values, h)
+
+
+def _sprime_norm(kind: SaturationKind, values: np.ndarray, h: float) -> np.ndarray:
+    if kind is SaturationKind.POINTWISE_LINF:
+        return h * np.sum(np.abs(values), axis=0)
+    return _column_norms(values, h)
+
+
+def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den where den > 0."""
+    keep = den > 0
+    return np.divide(num, den, out=np.zeros_like(den), where=keep)[keep]
+
+
+def _running_max(current: float, values: np.ndarray) -> float:
+    """max(current, v) folded over ``values`` in order: the first maximal
+    entry wins ties, as in a per-sample loop."""
+    if values.size:
+        best = values[np.argmax(values)]
+        if best > current:
+            return float(best)
+    return current
+
+
+def _shift_ratios(kind: SaturationKind, s: np.ndarray, pert: np.ndarray,
+                  sig_s: np.ndarray, level: float, h: float) -> np.ndarray:
+    """<s, sigma(s + s~) - sigma(s)> / ||s~|| for each column with s~ != 0."""
+    sig_sp = _sat_values(kind, s + pert, level, h)
+    return _ratios(h * np.vecdot(s, sig_sp - sig_s, axis=0), _column_norms(pert, h))
 
 
 def check_axioms(sigma: SaturationMap, grid: Grid, n_samples: int,
@@ -193,7 +247,9 @@ def check_axioms(sigma: SaturationMap, grid: Grid, n_samples: int,
     Samples should straddle the saturation level (amplitude > level),
     otherwise the map is exercised only on its identity branch.  Per-sample
     RNG streams are derived from (rng_seed, counter), so the result does
-    not depend on evaluation order.
+    not depend on evaluation order.  Samples are evaluated in blocks of
+    ``_CHUNK``, one per column; every axiom quantity is a column reduction,
+    so the report is the one a sample-by-sample loop gives.
     """
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
@@ -201,35 +257,35 @@ def check_axioms(sigma: SaturationMap, grid: Grid, n_samples: int,
         raise ParameterError("amplitude must be positive")
     h = grid.spacing_h
     level = sigma.level
+    kind = sigma.kind
+
+    def draw(rng):
+        s = _sample_values(grid, rng, amplitude)
+        t = _sample_values(grid, rng, amplitude)
+        pert = _sample_values(grid, rng, amplitude) * rng.uniform(0.0, 1.0)
+        return s, t, pert
+
     bound_violations = 0
     monotonicity_violations = 0
     lipschitz_estimate = 0.0
     item4_max_residual = -math.inf
     item5_estimate = 0.0
-    for i in range(n_samples):
-        rng = np.random.default_rng((rng_seed, i))
-        s = _sample_values(grid, rng, amplitude)
-        t = _sample_values(grid, rng, amplitude)
-        pert = _sample_values(grid, rng, amplitude) * rng.uniform(0.0, 1.0)
-        sig_s = _sat_values(sigma.kind, s, level, h)
-        sig_t = _sat_values(sigma.kind, t, level, h)
+    for s, t, pert in _sample_blocks(grid, n_samples, rng_seed, 3, draw):
+        sig_s = _sat_values(kind, s, level, h)
+        sig_t = _sat_values(kind, t, level, h)
+        d_sig = sig_s - sig_t
+        d = s - t
 
-        if _s_norm(sigma.kind, sig_s, h) > level:
-            bound_violations += 1
-        if h * float(np.dot(sig_s - sig_t, s - t)) < -1e-12:
-            monotonicity_violations += 1
-        dst = math.sqrt(h * float(np.dot(s - t, s - t)))
-        if dst > 0:
-            dsig = math.sqrt(h * float(np.dot(sig_s - sig_t, sig_s - sig_t)))
-            lipschitz_estimate = max(lipschitz_estimate, dsig / dst)
-        residual = _sprime_norm(sigma.kind, sig_s - s, h) \
-            - h * float(np.dot(sig_s, s)) / level
-        item4_max_residual = max(item4_max_residual, residual)
-        pert_norm = math.sqrt(h * float(np.dot(pert, pert)))
-        if pert_norm > 0:
-            sig_sp = _sat_values(sigma.kind, s + pert, level, h)
-            item5_estimate = max(
-                item5_estimate, h * float(np.dot(s, sig_sp - sig_s)) / pert_norm)
+        bound_violations += int(np.count_nonzero(_s_norm(kind, sig_s, h) > level))
+        monotonicity_violations += int(np.count_nonzero(
+            h * np.vecdot(d_sig, d, axis=0) < -1e-12))
+        lipschitz_estimate = _running_max(
+            lipschitz_estimate, _ratios(_column_norms(d_sig, h), _column_norms(d, h)))
+        residual = _sprime_norm(kind, sig_s - s, h) \
+            - h * np.vecdot(sig_s, s, axis=0) / level
+        item4_max_residual = _running_max(item4_max_residual, residual)
+        item5_estimate = _running_max(
+            item5_estimate, _shift_ratios(kind, s, pert, sig_s, level, h))
     return AxiomReport(
         bound_violations=bound_violations,
         monotonicity_violations=monotonicity_violations,
@@ -252,17 +308,15 @@ def estimate_item5_C0(sigma: SaturationMap, grid: Grid, n_samples: int,
         raise ParameterError("n_samples must be >= 1")
     h = grid.spacing_h
     level = sigma.level
-    best = 0.0
-    for i in range(n_samples):
-        rng = np.random.default_rng((rng_seed, i))
+
+    def draw(rng):
         s = _sample_values(grid, rng, amplitude)
         pert = _sample_values(grid, rng, amplitude)
         scale = rng.uniform(0.0, 1.0) if perturbation_scale is None else perturbation_scale
-        pert = pert * scale
-        pert_norm = math.sqrt(h * float(np.dot(pert, pert)))
-        if pert_norm == 0.0:
-            continue
+        return s, pert * scale
+
+    best = 0.0
+    for s, pert in _sample_blocks(grid, n_samples, rng_seed, 2, draw):
         sig_s = _sat_values(sigma.kind, s, level, h)
-        sig_sp = _sat_values(sigma.kind, s + pert, level, h)
-        best = max(best, h * float(np.dot(s, sig_sp - sig_s)) / pert_norm)
+        best = _running_max(best, _shift_ratios(sigma.kind, s, pert, sig_s, level, h))
     return best

@@ -12,6 +12,7 @@ All operations are pure functions on immutable inputs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -104,6 +105,17 @@ def boundary_envelope(grid: Grid) -> np.ndarray:
     return 256.0 * u**4 * (1.0 - u) ** 4
 
 
+@functools.lru_cache(maxsize=8)
+def _sine_basis(grid: Grid, n_modes: int) -> np.ndarray:
+    """Read-only (n_modes, n) table whose row j-1 is sin(j pi x / L)."""
+    x = grid.interior_nodes()
+    basis = np.empty((n_modes, grid.n_interior))
+    for j in range(1, n_modes + 1):
+        basis[j - 1] = np.sin(j * np.pi * x / grid.length_L)
+    basis.setflags(write=False)
+    return basis
+
+
 def random_smooth_values(grid: Grid, rng, n_modes: int = 12,
                          mode_decay: float = 3.0, envelope: bool = False) -> np.ndarray:
     """Random truncated sine series with mode amplitudes decaying like j**-decay.
@@ -112,10 +124,12 @@ def random_smooth_values(grid: Grid, rng, n_modes: int = 12,
     ``rng`` state yields samples of one underlying function across grids.
     """
     coeffs = rng.standard_normal(n_modes)
-    x = grid.interior_nodes()
+    # term j is coeffs[j-1] * j**-decay * sin(j pi x / L), summed in order of j
+    terms = (coeffs * [j ** (-mode_decay) for j in range(1, n_modes + 1)])[:, None] \
+        * _sine_basis(grid, n_modes)
     v = np.zeros(grid.n_interior)
-    for j in range(1, n_modes + 1):
-        v += coeffs[j - 1] * j ** (-mode_decay) * np.sin(j * np.pi * x / grid.length_L)
+    for term in terms:
+        v += term
     if envelope:
         v = v * boundary_envelope(grid)
     return v

@@ -5,7 +5,8 @@ import pytest
 import sympy
 
 from satiss import Grid, GridMismatchError, StateVector, build_kdv_operator, \
-    inner_l2, norm_graph, norm_l1, norm_l2, norm_linf
+    inner_l2, norm_graph, norm_l1, norm_l2, norm_linf, random_smooth_values
+from satiss.spaces import _sine_basis, boundary_envelope
 from satiss.system import LinearOperator
 
 from conftest import L, random_states
@@ -166,3 +167,27 @@ def test_norm_graph_matches_symbolic_quadrature():
             + math.sqrt(np.trapezoid(image_np(fine) ** 2, fine)))
     z = StateVector(g, f_np(g.interior_nodes()))
     assert norm_graph(z, A) == pytest.approx(cont, rel=0.05)
+
+
+@pytest.mark.parametrize("n", [31, 127, 2047])
+def test_random_smooth_values_cached_basis_bit_for_bit(n):
+    # the cached sine table must reproduce the series evaluated term by term
+    g = Grid(L, n)
+    x = g.interior_nodes()
+    for n_modes, mode_decay in ((8, 1.5), (12, 3.0)):
+        for envelope in (False, True):
+            for seed in range(5):
+                coeffs = np.random.default_rng(seed).standard_normal(n_modes)
+                expected = np.zeros(n)
+                for j in range(1, n_modes + 1):
+                    expected += coeffs[j - 1] * j ** (-mode_decay) \
+                        * np.sin(j * np.pi * x / L)
+                if envelope:
+                    expected = expected * boundary_envelope(g)
+                got = random_smooth_values(g, np.random.default_rng(seed), n_modes,
+                                           mode_decay, envelope)
+                np.testing.assert_array_equal(got, expected)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+    basis = _sine_basis(g, 8)
+    assert basis is _sine_basis(Grid(L, n), 8)
+    assert not basis.flags.writeable
