@@ -40,7 +40,7 @@ x = grid.interior_nodes()
 z0 = StateVector(grid, 1.0 - np.cos(x))
 loop = assemble_closed_loop(A, sigma, cosine_disturbance(0.05, 1.0))
 traj = simulate(loop, z0, 9.0, 1e-3, observers=trajectory_observers(params))
-report = dissipation_report(traj, "V1", params, alpha, rho)
+report = dissipation_report(traj, "V1", alpha, rho)
 print("V1 decrease check: %d violations, worst margin %.4g"
       % (report.violation_count, report.worst_margin))
 report.write_csv("demo_out_dissipation_v1.csv")

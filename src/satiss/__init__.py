@@ -8,12 +8,11 @@ from .spaces import Grid, StateVector, boundary_envelope, inner_l2, norm_graph, 
     norm_l1, norm_l2, norm_linf, random_smooth_values
 from .saturation import AxiomReport, SaturationKind, SaturationMap, \
     apply_saturation, check_axioms, estimate_item5_C0, hilbert_norm_map, \
-    pointwise_linf_map, sat_hilbert, sat_pointwise, sat_scalar
-from .system import DisturbanceKind, DisturbanceSignal, LinearOperator, \
-    SaturatedSystem, Trajectory, assemble_closed_loop, build_kdv_operator, \
-    cosine_disturbance, custom_disturbance, identity_operator, \
-    linear_loop_operator, simulate, step, table_disturbance, with_disturbance, \
-    zero_disturbance
+    pointwise_linf_map
+from .system import DisturbanceSignal, LinearOperator, SaturatedSystem, \
+    Trajectory, assemble_closed_loop, build_kdv_operator, cosine_disturbance, \
+    custom_disturbance, linear_loop_operator, simulate, step, table_disturbance, \
+    with_disturbance, zero_disturbance
 from .lyapunov import DissipationReport, LyapunovParams, case1_decrease_coeff, \
     case1_iss_gain, case1_params, case2_decay_rate, case2_params, \
     dissipation_report, estimate_embedding_constant, measure_decay_constant, \

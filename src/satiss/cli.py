@@ -27,11 +27,11 @@ from . import iss as iss_mod
 from . import lyapunov as lyap
 from .errors import CertificationError, ConfigError, DissipativityGateFailed, \
     InfeasibleParameters, ParameterError, SimulationDiverged
-from .saturation import SaturationKind, check_axioms, hilbert_norm_map, \
-    pointwise_linf_map
+from .saturation import check_axioms, hilbert_norm_map, pointwise_linf_map
 from .spaces import Grid, StateVector, norm_graph
-from .system import assemble_closed_loop, build_kdv_operator, cosine_disturbance, \
-    linear_loop_operator, simulate, with_disturbance, zero_disturbance
+from .system import _write_csv, assemble_closed_loop, build_kdv_operator, \
+    cosine_disturbance, linear_loop_operator, simulate, with_disturbance, \
+    zero_disturbance
 
 OUTPUT_ROOT_ENV = "SATISS_OUTPUT_ROOT"
 
@@ -175,7 +175,7 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
     if e["analysis.dissipation"] not in _DISSIPATION_CHOICES:
         raise ConfigError("field 'analysis.dissipation' must be one of %s"
                           % (_DISSIPATION_CHOICES,))
-    sigma = _saturation_map(config)
+    sigma = _saturation_map(e["saturation.kind"], e["saturation.level"], e["domain.L"])
     k = sigma.lipschitz_k if sigma is not None else 1.0
     if e["time.dt"] * k >= 1.0:
         raise ConfigError("field 'time.dt' violates dt * k < 1 for the explicit "
@@ -183,13 +183,13 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
     return config
 
 
-def _saturation_map(config):
-    kind = config["saturation.kind"]
+def _saturation_map(kind, level, L):
+    """The map named by a ``saturation.kind`` value; None for 'none'."""
     if kind == "none":
         return None
     if kind == "pointwise_linf":
-        return pointwise_linf_map(config["saturation.level"], config["domain.L"])
-    return hilbert_norm_map(config["saturation.level"])
+        return pointwise_linf_map(level, L)
+    return hilbert_norm_map(level)
 
 
 def _disturbance(config):
@@ -214,11 +214,29 @@ def _initial_state(config, grid, A):
     return iss_mod.smooth_initial_data(grid, A, config["initial.graph_norm"], rng)
 
 
-def _resolve_output_dir(path_str):
+def _closed_loop(config):
+    """(grid, A, loop) of a config: the KdV operator closed through its
+    saturation map and disturbance."""
+    grid = Grid(config["domain.L"], config["domain.n_interior"])
+    A = build_kdv_operator(grid)
+    sigma = _saturation_map(config["saturation.kind"], config["saturation.level"],
+                            config["domain.L"])
+    return grid, A, assemble_closed_loop(A, sigma, _disturbance(config))
+
+
+def _make_output_dir(path_str):
+    """Create the output directory, under $SATISS_OUTPUT_ROOT when relative."""
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root and not os.path.isabs(path_str):
-        return os.path.join(root, path_str)
+        path_str = os.path.join(root, path_str)
+    os.makedirs(path_str, exist_ok=True)
     return path_str
+
+
+def _write_text(outdir, files, name, text):
+    with open(os.path.join(outdir, name), "w") as fh:
+        fh.write(text)
+    files.append(name)
 
 
 def _write_manifest(outdir, config_lines, files):
@@ -239,23 +257,20 @@ def run_experiment(config: ExperimentConfig, output_dir=None):
     Returns the list of files written (relative to the output directory).
     Deterministic for a fixed (config, rng_seed): identical bytes per run.
     """
-    outdir = _resolve_output_dir(output_dir or config["output_dir"])
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _make_output_dir(output_dir or config["output_dir"])
     files = []
 
-    grid = Grid(config["domain.L"], config["domain.n_interior"])
-    A = build_kdv_operator(grid)
-    sigma = _saturation_map(config)
-    d = _disturbance(config)
-    sys_loop = assemble_closed_loop(A, sigma, d)
+    grid, A, sys_loop = _closed_loop(config)
+    sigma = sys_loop.sigma
     z0 = _initial_state(config, grid, A)
     T, dt = config["time.T"], config["time.dt"]
     seed = config["rng_seed"]
 
     C = lyap.measure_decay_constant(linear_loop_operator(A))
-    observers, params = _dissipation_setup(config, A, sigma, z0, C, grid, seed)
+    params = _dissipation_params(config, A, sigma, z0, C, grid, seed)
 
-    traj = simulate(sys_loop, z0, T, dt, observers=observers)
+    traj = simulate(sys_loop, z0, T, dt,
+                    observers=lyap.trajectory_observers(params) if params else None)
     traj.write_observables_csv(os.path.join(outdir, "trajectory.csv"))
     files.append("trajectory.csv")
     if config["output.states"]:
@@ -269,24 +284,19 @@ def run_experiment(config: ExperimentConfig, output_dir=None):
         report = check_axioms(sigma, grid, config["analysis.axioms_samples"],
                               config["analysis.axioms_amplitude"]
                               * config["saturation.level"], seed)
-        name = "axioms_%s.txt" % sigma.kind.value
-        with open(os.path.join(outdir, name), "w") as fh:
-            fh.write(report.as_kv_text())
-        files.append(name)
+        _write_text(outdir, files, "axioms_%s.txt" % sigma.kind.value,
+                    report.as_kv_text())
 
     which = config["analysis.dissipation"]
     if which != "off":
-        report, summary = _dissipation_report(config, traj, params, C, which)
+        report, summary = _dissipation_report(traj, params, C, which)
         name = "dissipation_%s.csv" % which
         report.write_csv(os.path.join(outdir, name))
         files.append(name)
-        sname = "dissipation_%s_summary.txt" % which
-        with open(os.path.join(outdir, sname), "w") as fh:
-            fh.write(summary)
-        files.append(sname)
+        _write_text(outdir, files, "dissipation_%s_summary.txt" % which, summary)
 
     if config["analysis.gap"]:
-        gap = iss_mod.gronwall_gap(sys_loop, z0, d, T, dt)
+        gap = iss_mod.gronwall_gap(sys_loop, z0, sys_loop.d, T, dt)
         gap.write_csv(os.path.join(outdir, "gap.csv"))
         files.append("gap.csv")
 
@@ -295,44 +305,38 @@ def run_experiment(config: ExperimentConfig, output_dir=None):
         fit = iss_mod.fit_semiglobal(with_disturbance(sys_loop, zero_disturbance()),
                                      r_list, config["analysis.semiglobal_samples"],
                                      T, dt, seed)
-        with open(os.path.join(outdir, "semiglobal.txt"), "w") as fh:
-            for i, r in enumerate(fit.r_values):
-                fh.write("r=%.17g K=%.17g mu=%.17g lift=%.17g\n"
-                         % (r, fit.K_of_r[i], fit.mu_of_r[i], fit.fit_residuals[i]))
-        files.append("semiglobal.txt")
+        _write_text(outdir, files, "semiglobal.txt", "".join(
+            "r=%.17g K=%.17g mu=%.17g lift=%.17g\n"
+            % (r, fit.K_of_r[i], fit.mu_of_r[i], fit.fit_residuals[i])
+            for i, r in enumerate(fit.r_values)))
 
     if config["analysis.certificate"]:
         cert = _run_certificate(config, sys_loop, grid, A, T, dt)
-        with open(os.path.join(outdir, "certificate.txt"), "w") as fh:
-            fh.write(cert.as_kv_text())
-        files.append("certificate.txt")
+        _write_text(outdir, files, "certificate.txt", cert.as_kv_text())
 
     _write_manifest(outdir, config.echo_lines, files)
     return outdir, files + ["manifest.txt"]
 
 
-def _dissipation_setup(config, A, sigma, z0, C, grid, seed):
-    """Observer callables plus the Lyapunov constants the report will need."""
+def _dissipation_params(config, A, sigma, z0, C, grid, seed):
+    """Lyapunov constants of the V1 or V2 report; None for 'off' and 'v'."""
     which = config["analysis.dissipation"]
     if which in ("off", "v"):
-        return None, lyap.LyapunovParams(C=C)
+        return None
     if which == "v1":
         if sigma is None:
             raise ConfigError("analysis.dissipation = v1 needs a saturation map")
-        params = lyap.case1_params(C, sigma, safety=config["analysis.safety"])
-        return lyap.trajectory_observers(params), params
+        return lyap.case1_params(C, sigma, safety=config["analysis.safety"])
     c_s = lyap.estimate_embedding_constant(grid, n_samples=200, rng_seed=seed)
     r = norm_graph(z0, A)
     if r == 0.0:
         raise ConfigError("analysis.dissipation = v2 needs a nonzero initial state")
-    params = lyap.case2_params(C, c_s, r)
-    return lyap.trajectory_observers(params), params
+    return lyap.case2_params(C, c_s, r)
 
 
-def _dissipation_report(config, traj, params, C, which):
+def _dissipation_report(traj, params, C, which):
     if which == "v":
-        report = lyap.dissipation_report(traj, "V", params, alpha_coeff=1.0,
-                                         rho_gain=0.0)
+        report = lyap.dissipation_report(traj, "V", alpha_coeff=1.0, rho_gain=0.0)
         summary = ("which=V\nalpha=1\nrho=0\nviolation_count=%d\nworst_margin=%.17g\n"
                    % (report.violation_count, report.worst_margin))
         return report, summary
@@ -344,8 +348,8 @@ def _dissipation_report(config, traj, params, C, which):
                                               keep_C0=False)
         rho = lyap.case1_iss_gain(params.M, params.eps1, params.eps2,
                                   params.C0, params.k)
-        report = lyap.dissipation_report(traj, "V1", params, alpha, rho)
-        alt = lyap.dissipation_report(traj, "V1", params, alpha_alt, rho)
+        report = lyap.dissipation_report(traj, "V1", alpha, rho)
+        alt = lyap.dissipation_report(traj, "V1", alpha_alt, rho)
         summary = ("which=V1\nalpha=%.17g\nalpha_no_C0=%.17g\nrho=%.17g\n"
                    "violation_count=%d\nworst_margin=%.17g\n"
                    "violation_count_no_C0=%d\nworst_margin_no_C0=%.17g\n"
@@ -353,7 +357,7 @@ def _dissipation_report(config, traj, params, C, which):
                       report.worst_margin, alt.violation_count, alt.worst_margin))
         return report, summary
     alpha = params.C
-    report = lyap.dissipation_report(traj, "V2", params, alpha, 0.0)
+    report = lyap.dissipation_report(traj, "V2", alpha, 0.0)
     mu = lyap.case2_decay_rate(params.C, 1.0, params.M_tilde, params.r)
     summary = ("which=V2\nalpha=%.17g\nrho=0\nmu=%.17g\nM_tilde=%.17g\nr=%.17g\n"
                "violation_count=%d\nworst_margin=%.17g\n"
@@ -397,8 +401,7 @@ def reproduce_figure1(output_dir):
     state history of run (a), the paired norm traces, the observables of
     run (a), and a manifest.
     """
-    outdir = _resolve_output_dir(output_dir)
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _make_output_dir(output_dir)
     L = 2.0 * math.pi
     grid = Grid(L, FIGURE1_N_INTERIOR)
     A = build_kdv_operator(grid)
@@ -416,13 +419,10 @@ def reproduce_figure1(output_dir):
     files.append("figure1_states.csv")
     disturbed.write_observables_csv(os.path.join(outdir, "figure1_observables.csv"))
     files.append("figure1_observables.csv")
-    with open(os.path.join(outdir, "figure1_norms.csv"), "w") as fh:
-        fh.write("t,norm_disturbed,norm_linear\n")
-        nd = disturbed.observables["norm_l2"]
-        nl = linear.observables["norm_l2"]
-        for i, t in enumerate(disturbed.times):
-            fh.write("%s,%s,%s\n" % (format(t, ".17g"), format(nd[i], ".17g"),
-                                     format(nl[i], ".17g")))
+    _write_csv(os.path.join(outdir, "figure1_norms.csv"),
+               ("t", "norm_disturbed", "norm_linear"),
+               [disturbed.times, disturbed.observables["norm_l2"],
+                linear.observables["norm_l2"]])
     files.append("figure1_norms.csv")
     config_lines = [
         "config preset = figure1",
@@ -453,10 +453,10 @@ def _cmd_figure1(args):
 
 
 _AXIOM_KIND_ALIASES = {
-    "pointwise_linf": SaturationKind.POINTWISE_LINF,
-    "pointwise": SaturationKind.POINTWISE_LINF,
-    "hilbert_norm": SaturationKind.HILBERT_NORM,
-    "hilbert": SaturationKind.HILBERT_NORM,
+    "pointwise_linf": "pointwise_linf",
+    "pointwise": "pointwise_linf",
+    "hilbert_norm": "hilbert_norm",
+    "hilbert": "hilbert_norm",
 }
 
 
@@ -465,14 +465,10 @@ def _cmd_axioms(args):
     if kind is None:
         raise ConfigError("unknown saturation kind %r" % args.kind)
     level = args.level
-    if not level > 0:
-        raise ConfigError("saturation level must be positive")
     L = 2.0 * math.pi
-    grid = Grid(L, 127)
-    sigma = pointwise_linf_map(level, L) if kind is SaturationKind.POINTWISE_LINF \
-        else hilbert_norm_map(level)
-    report = check_axioms(sigma, grid, args.samples, 3.0 * level, args.seed)
-    sys.stdout.write("kind=%s\nlevel=%s\n" % (kind.value, format(level, ".17g")))
+    sigma = _saturation_map(kind, level, L)
+    report = check_axioms(sigma, Grid(L, 127), args.samples, 3.0 * level, args.seed)
+    sys.stdout.write("kind=%s\nlevel=%s\n" % (kind, format(level, ".17g")))
     sys.stdout.write(report.as_kv_text())
     failed = (report.bound_violations > 0 or report.monotonicity_violations > 0
               or report.lipschitz_estimate > sigma.lipschitz_k + 1e-12
@@ -483,16 +479,13 @@ def _cmd_axioms(args):
 
 def _cmd_certify(args):
     config = parse_config(args.config)
-    outdir = _resolve_output_dir(config["output_dir"])
-    os.makedirs(outdir, exist_ok=True)
-    grid = Grid(config["domain.L"], config["domain.n_interior"])
-    A = build_kdv_operator(grid)
-    sys_loop = assemble_closed_loop(A, _saturation_map(config), _disturbance(config))
-    cert = _run_certificate(config, sys_loop, grid, A,
-                            config["time.T"], config["time.dt"])
-    with open(os.path.join(outdir, "certificate.txt"), "w") as fh:
-        fh.write(cert.as_kv_text())
-    _write_manifest(outdir, config.echo_lines, ["certificate.txt"])
+    outdir = _make_output_dir(config["output_dir"])
+    grid, A, sys_loop = _closed_loop(config)
+    files = []
+    cert = _run_certificate(config, sys_loop, grid, A, config["time.T"],
+                            config["time.dt"])
+    _write_text(outdir, files, "certificate.txt", cert.as_kv_text())
+    _write_manifest(outdir, config.echo_lines, files)
     sys.stdout.write(cert.as_kv_text())
     if not cert.valid():
         raise CertificationError("certificate max violation %g exceeds 1e-6"

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CertificationError, ParameterError
 from .spaces import Grid, StateVector, norm_graph, norm_l2, random_smooth_values
-from .system import DisturbanceKind, SaturatedSystem, Trajectory, simulate, \
+from .system import SaturatedSystem, Trajectory, _write_csv, simulate, \
     with_disturbance, zero_disturbance
 
 
@@ -61,13 +61,8 @@ class GapReport:
     conservative_violations: int
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,gap,paper_bound,conservative_bound\n")
-            for i in range(len(self.times)):
-                fh.write(",".join(format(float(x), ".17g") for x in
-                                  (self.times[i], self.gap[i],
-                                   self.plain_bound[i],
-                                   self.conservative_bound[i])) + "\n")
+        _write_csv(path, ("t", "gap", "paper_bound", "conservative_bound"),
+                   [self.times, self.gap, self.plain_bound, self.conservative_bound])
 
 
 def _bound_violations(values, bounds):
@@ -164,7 +159,7 @@ def fit_semiglobal(sys: SaturatedSystem, r_values, samples_per_r: int,
     r_values = list(r_values)
     if not r_values:
         raise ParameterError("r_values must be nonempty")
-    if sys.d.kind is not DisturbanceKind.ZERO:
+    if not (sys.d.func is None and sys.d.amplitude == 0.0):
         raise ParameterError("semi-global fitting needs an undisturbed loop")
     grid = sys.A.grid
     z0s = []

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InfeasibleParameters, ParameterError
 from .spaces import Grid, StateVector, inner_l2, norm_graph, norm_l2, norm_linf, \
     random_smooth_values
-from .system import LinearOperator, Trajectory, build_kdv_operator
+from .system import LinearOperator, Trajectory, _write_csv, build_kdv_operator
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,34 +208,28 @@ class DissipationReport:
     worst_margin: float
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,V,dVdt,bound,margin\n")
-            for i in range(len(self.times)):
-                fh.write(",".join(format(float(x), ".17g") for x in
-                                  (self.times[i], self.V[i], self.dVdt[i],
-                                   self.bound[i], self.margin[i])) + "\n")
+        _write_csv(path, ("t", "V", "dVdt", "bound", "margin"),
+                   [self.times, self.V, self.dVdt, self.bound, self.margin])
 
 
-def dissipation_report(traj: Trajectory, which: str, params: LyapunovParams,
-                       alpha_coeff: float, rho_gain: float) -> DissipationReport:
+def dissipation_report(traj: Trajectory, which: str, alpha_coeff: float,
+                       rho_gain: float) -> DissipationReport:
     """Check dV/dt <= -alpha ||z||^2 + rho ||d||^2 along a recorded trajectory.
 
-    The V series is recomputed from the stored states, dV/dt by centered
-    differences (one-sided at the ends).  A step counts as a violation when
-    it exceeds the bound by more than 1e-6 * (1 + |V|) / dt, the scale of
-    the differencing error.
+    The series ``which`` ('V', 'V1' or 'V2') is the one ``simulate``
+    recorded, through ``trajectory_observers`` for V1 and V2; dV/dt comes
+    from centered differences (one-sided at the ends).  A step counts as a
+    violation when it exceeds the bound by more than 1e-6 * (1 + |V|) / dt,
+    the scale of the differencing error.
     """
     if len(traj) < 3:
         raise ParameterError("dissipation report needs at least 3 recorded steps")
-    if which == "V":
-        evaluate = lambda z: v_quadratic(params.P if params else None, z)
-    elif which == "V1":
-        evaluate = lambda z: v1(params, z)
-    elif which == "V2":
-        evaluate = lambda z: v2(params, z)
-    else:
+    if which not in ("V", "V1", "V2"):
         raise ParameterError("which must be one of 'V', 'V1', 'V2'")
-    V = np.array([evaluate(traj.state_at(i)) for i in range(len(traj))])
+    V = traj.observables[which]
+    if np.isnan(V).any():
+        raise ParameterError("the %s series was not recorded: pass "
+                             "trajectory_observers to simulate" % which)
     dVdt = np.gradient(V, traj.times)
     norms = traj.observables["norm_l2"]
     dnorms = traj.observables["norm_d"]

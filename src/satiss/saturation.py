@@ -53,8 +53,9 @@ class SaturationMap:
     item5_C0: float = 1.0
 
     def __post_init__(self):
-        if not self.level > 0:
-            raise ParameterError("saturation level must be positive")
+        if not 0 < self.level < math.inf:
+            raise ParameterError("saturation level must be positive and finite, "
+                                 "got %r" % (self.level,))
         if self.lipschitz_k < 1:
             raise ParameterError("Lipschitz constant must be >= 1")
         if not self.item5_C0 > 0:
@@ -76,17 +77,6 @@ def hilbert_norm_map(level: float = 1.0) -> SaturationMap:
     """Radial retraction onto the L2 ball; declared k = 3 and C0 = 3 * level."""
     return SaturationMap(SaturationKind.HILBERT_NORM, level=level,
                          lipschitz_k=3.0, item5_C0=3.0 * level)
-
-
-def sat_scalar(x: float, level: float) -> float:
-    """Clamp a real number to [-level, +level]."""
-    if not level > 0:
-        raise ParameterError("saturation level must be positive")
-    return min(max(x, -level), level)
-
-
-def _sat_pointwise_values(values: np.ndarray, level: float) -> np.ndarray:
-    return np.clip(values, -level, level)
 
 
 def _column_norms(values: np.ndarray, h: float) -> np.ndarray:
@@ -119,28 +109,14 @@ def _sat_values(kind: SaturationKind, values: np.ndarray, level: float, h: float
     """sigma of one state (n,), or of each column of an (n, m) block whose
     columns are contiguous (see ``_column_norms``)."""
     if kind is SaturationKind.POINTWISE_LINF:
-        return _sat_pointwise_values(values, level)
+        return np.clip(values, -level, level)
     return _sat_hilbert_values(values, level, h)
 
 
-def sat_pointwise(z: StateVector, level: float) -> StateVector:
-    """Apply the scalar clamp at every node."""
-    if not level > 0:
-        raise ParameterError("saturation level must be positive")
-    return StateVector(z.grid, _sat_pointwise_values(z.values, level))
-
-
-def sat_hilbert(z: StateVector, level: float) -> StateVector:
-    """Return z unchanged inside the L2 ball, else z * (level / ||z||)."""
-    if not level > 0:
-        raise ParameterError("saturation level must be positive")
-    return StateVector(z.grid, _sat_hilbert_values(z.values, level, z.grid.spacing_h))
-
-
 def apply_saturation(sigma: SaturationMap, z: StateVector) -> StateVector:
-    if sigma.kind is SaturationKind.POINTWISE_LINF:
-        return sat_pointwise(z, sigma.level)
-    return sat_hilbert(z, sigma.level)
+    """sigma(z): the node-wise clamp, or the radial retraction onto the L2 ball."""
+    return StateVector(z.grid, _sat_values(sigma.kind, z.values, sigma.level,
+                                           z.grid.spacing_h))
 
 
 @dataclass
@@ -240,6 +216,22 @@ def _shift_ratios(kind: SaturationKind, s: np.ndarray, pert: np.ndarray,
     return _ratios(h * np.vecdot(s, sig_sp - sig_s, axis=0), _column_norms(pert, h))
 
 
+def _check_sweep(grid: Grid, n_samples: int, amplitude: float):
+    """Reject sweep arguments whose sums would not be finite doubles.
+
+    A difference of two samples is at most 2 * amplitude per node, so
+    n * (2 * amplitude)^2 is the largest raw sum of squares the sweep forms.
+    """
+    if n_samples < 1:
+        raise ParameterError("n_samples must be >= 1")
+    if not amplitude > 0:
+        raise ParameterError("amplitude must be positive")
+    width = 2.0 * amplitude
+    if not math.isfinite(grid.n_interior * width * width):
+        raise ParameterError("sample amplitude %g overflows the sums of the sweep "
+                             "on %d nodes" % (amplitude, grid.n_interior))
+
+
 def check_axioms(sigma: SaturationMap, grid: Grid, n_samples: int,
                  amplitude: float, rng_seed: int) -> AxiomReport:
     """Sweep randomized state pairs through all five axioms.
@@ -251,10 +243,7 @@ def check_axioms(sigma: SaturationMap, grid: Grid, n_samples: int,
     ``_CHUNK``, one per column; every axiom quantity is a column reduction,
     so the report is the one a sample-by-sample loop gives.
     """
-    if n_samples < 1:
-        raise ParameterError("n_samples must be >= 1")
-    if not amplitude > 0:
-        raise ParameterError("amplitude must be positive")
+    _check_sweep(grid, n_samples, amplitude)
     h = grid.spacing_h
     level = sigma.level
     kind = sigma.kind
@@ -304,8 +293,7 @@ def estimate_item5_C0(sigma: SaturationMap, grid: Grid, n_samples: int,
     ``perturbation_scale`` overrides the random perturbation size; passing 0
     makes every s~ vanish and the estimate is 0 by convention.
     """
-    if n_samples < 1:
-        raise ParameterError("n_samples must be >= 1")
+    _check_sweep(grid, n_samples, amplitude)
     h = grid.spacing_h
     level = sigma.level
 

@@ -106,9 +106,9 @@ def test_criterion_4_case1_decrease(kdv127, decay_C, z0_cosine):
     sys_sat = assemble_closed_loop(kdv127, sigma, cosine_disturbance(0.05, 1.0))
     traj = simulate(sys_sat, z0_cosine, 9.0, 1e-3,
                     observers=trajectory_observers(params))
-    rep = dissipation_report(traj, "V1", params, alpha, rho)
+    rep = dissipation_report(traj, "V1", alpha, rho)
     assert rep.violation_count == 0
-    rep_alt = dissipation_report(traj, "V1", params, alpha_alt, rho)
+    rep_alt = dissipation_report(traj, "V1", alpha_alt, rho)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report(4, "case-1 decrease of the cubic-augmented function", elapsed, 10,

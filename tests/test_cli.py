@@ -210,3 +210,57 @@ output_dir = {out}
     text = (tmp_path / "semi" / "semiglobal.txt").read_text()
     assert text.count("r=") == 2
     assert "mu=" in text
+
+
+@pytest.mark.parametrize("kind, level", [
+    ("hilbert", "inf"), ("hilbert", "1e308"), ("pointwise", "1e300")])
+def test_cli_axioms_overflowing_level_is_config_error(capsys, kind, level):
+    # inf is not a level; at 1e308 and 1e300 the sweep amplitude 3 * level
+    # overflows the sums of squares
+    assert main(["axioms", kind, level, "--samples", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert captured.out == ""
+
+
+# every key of the dissipation summaries of a short disturbed Hilbert run,
+# as written before the report read the recorded series
+_DISSIPATION_SUMMARIES = {
+    "v": {"which": "V", "alpha": 1.0, "rho": 0.0, "violation_count": 501,
+          "worst_margin": -2.976887627462208},
+    "v1": {"which": "V1", "alpha": 1.012658062432076,
+           "alpha_no_C0": 1.3502107499094351, "rho": 302.17504935978809,
+           "violation_count": 0, "worst_margin": 29.367936998710146,
+           "violation_count_no_C0": 0, "worst_margin_no_C0": 27.177897931566729},
+    "v2": {"which": "V2", "alpha": 2.0253161248641525, "rho": 0.0,
+           "mu": 0.48219703866414043, "M_tilde": 0.82982090049964408,
+           "r": 3.8564751292313866, "violation_count": 0,
+           "worst_margin": 7.994168871190066},
+}
+
+
+@pytest.mark.parametrize("which", sorted(_DISSIPATION_SUMMARIES))
+def test_dissipation_summaries_golden(tmp_path, which):
+    body = """
+domain.L = 6.283185307179586
+domain.n_interior = 63
+time.T = 0.5
+time.dt = 0.001
+disturbance.kind = cosine
+disturbance.amplitude = 0.05
+saturation.kind = hilbert_norm
+analysis.dissipation = {which}
+output_dir = {out}
+""".format(which=which, out=tmp_path / which)
+    run_experiment(parse_config_text(body))
+    text = (tmp_path / which / ("dissipation_%s_summary.txt" % which)).read_text()
+    got = dict(line.split("=", 1) for line in text.splitlines())
+    expected = _DISSIPATION_SUMMARIES[which]
+    assert set(got) == set(expected)
+    for key, value in expected.items():
+        if isinstance(value, str):
+            assert got[key] == value
+        elif isinstance(value, int):
+            assert int(got[key]) == value
+        else:
+            assert float(got[key]) == pytest.approx(value, rel=1e-12, abs=0.0)

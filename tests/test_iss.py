@@ -8,6 +8,7 @@ from satiss import CertificationError, Grid, ParameterError, StateVector, \
     assemble_closed_loop, brs_check, build_kdv_operator, cli, iss, system, cosine_disturbance, fit_semiglobal, \
     globalize, gronwall_gap, hilbert_norm_map, iss_certificate, norm_graph, \
     norm_l2, pointwise_linf_map, simulate, smooth_initial_data, zero_disturbance
+from satiss.system import custom_disturbance
 from satiss.iss import SemiGlobalFit, _majorizing_exponential_fit
 
 from conftest import L
@@ -76,14 +77,19 @@ def test_majorizing_fit_flags_growth():
 
 
 def test_fit_semiglobal_requires_undisturbed(kdv127):
-    sys_dist = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
-                                    cosine_disturbance(0.05, 1.0))
-    with pytest.raises(ParameterError):
-        fit_semiglobal(sys_dist, [1.0], 2, 1.0, 1e-3, 0)
-    sys_free = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
-                                    zero_disturbance())
+    sigma = pointwise_linf_map(1.0, L)
+    for d in (cosine_disturbance(0.05, 1.0), custom_disturbance(lambda t: 0.0)):
+        sys_dist = assemble_closed_loop(kdv127, sigma, d)
+        with pytest.raises(ParameterError, match="undisturbed"):
+            fit_semiglobal(sys_dist, [1.0], 2, 1.0, 1e-3, 0)
+    sys_free = assemble_closed_loop(kdv127, sigma, zero_disturbance())
     with pytest.raises(ParameterError):
         fit_semiglobal(sys_free, [], 2, 1.0, 1e-3, 0)
+    # a cosine of amplitude 0 is the zero disturbance
+    for d in (zero_disturbance(), cosine_disturbance(0.0, 3.0)):
+        fit = fit_semiglobal(assemble_closed_loop(kdv127, sigma, d), [1.0], 1,
+                             0.01, 1e-3, 0)
+        assert fit.mu_of_r.shape == (1,)
 
 
 def test_fit_semiglobal_linear_rate_radius_independent(kdv127):

@@ -169,7 +169,7 @@ def test_dissipation_report_zero_trajectory(grid127):
     states = np.zeros((11, 127))
     norm_d = np.abs(np.cos(times))
     traj = synthetic_trajectory(grid127, times, states, norm_d)
-    report = dissipation_report(traj, "V", LyapunovParams(), 1.0, rho_gain=2.0)
+    report = dissipation_report(traj, "V", 1.0, rho_gain=2.0)
     np.testing.assert_allclose(report.margin, 2.0 * norm_d**2, rtol=1e-12)
     assert report.violation_count == 0
     assert report.worst_margin >= 0.0
@@ -179,19 +179,36 @@ def test_dissipation_report_requires_three_steps(grid127):
     times = np.array([0.0, 1.0])
     traj = synthetic_trajectory(grid127, times, np.zeros((2, 127)), np.zeros(2))
     with pytest.raises(ParameterError):
-        dissipation_report(traj, "V", LyapunovParams(), 1.0, 0.0)
+        dissipation_report(traj, "V", 1.0, 0.0)
     with pytest.raises(ParameterError):
         dissipation_report(synthetic_trajectory(grid127, np.linspace(0, 1, 5),
                                                 np.zeros((5, 127)), np.zeros(5)),
-                           "V3", LyapunovParams(), 1.0, 0.0)
+                           "V3", 1.0, 0.0)
+
+
+def test_dissipation_report_needs_the_recorded_series(kdv127, decay_C, z0_cosine):
+    # V1 is read from the run, so a run without the observers cannot report it
+    sys_sat = assemble_closed_loop(kdv127, hilbert_norm_map(1.0),
+                                   cosine_disturbance(0.05, 1.0))
+    traj = simulate(sys_sat, z0_cosine, 0.01, 1e-3)
+    with pytest.raises(ParameterError, match="V1 series was not recorded"):
+        dissipation_report(traj, "V1", 1.0, 0.0)
+    with pytest.raises(ParameterError, match="V2 series"):
+        dissipation_report(traj, "V2", 1.0, 0.0)
+    params = case1_params(decay_C, hilbert_norm_map(1.0))
+    traj = simulate(sys_sat, z0_cosine, 0.01, 1e-3,
+                    observers=trajectory_observers(params))
+    report = dissipation_report(traj, "V1", 1.0, 0.0)
+    np.testing.assert_array_equal(report.V, traj.observables["V1"])
+    np.testing.assert_array_equal(report.V, [v1(params, StateVector(z0_cosine.grid, z))
+                                             for z in traj.states])
 
 
 def test_linear_loop_satisfies_quadratic_decrease(kdv127, z0_cosine):
     # dV/dt <= -V for V = ||z||^2 along the unsaturated loop
     sys_lin = assemble_closed_loop(kdv127, None, zero_disturbance())
     traj = simulate(sys_lin, z0_cosine, 3.0, 1e-3)
-    report = dissipation_report(traj, "V", LyapunovParams(), alpha_coeff=1.0,
-                                rho_gain=0.0)
+    report = dissipation_report(traj, "V", alpha_coeff=1.0, rho_gain=0.0)
     assert report.violation_count == 0
     assert report.worst_margin >= 0.0
 
@@ -206,7 +223,7 @@ def test_case1_report_zero_violations(kdv127, decay_C, z0_cosine):
     sys_sat = assemble_closed_loop(kdv127, sigma, cosine_disturbance(0.05, 1.0))
     traj = simulate(sys_sat, z0_cosine, 2.0, 1e-3,
                     observers=trajectory_observers(params))
-    report = dissipation_report(traj, "V1", params, alpha, rho)
+    report = dissipation_report(traj, "V1", alpha, rho)
     assert report.violation_count == 0
 
 
@@ -223,7 +240,7 @@ def test_case2_params_and_observers(kdv127, decay_C, grid127):
 def test_dissipation_report_csv(tmp_path, grid127):
     times = np.linspace(0.0, 1.0, 6)
     traj = synthetic_trajectory(grid127, times, np.zeros((6, 127)), np.zeros(6))
-    report = dissipation_report(traj, "V", LyapunovParams(), 1.0, 0.0)
+    report = dissipation_report(traj, "V", 1.0, 0.0)
     path = tmp_path / "report.csv"
     report.write_csv(path)
     lines = path.read_text().splitlines()

@@ -5,44 +5,30 @@ import pytest
 
 from satiss import Grid, ParameterError, StateVector, check_axioms, \
     estimate_item5_C0, hilbert_norm_map, norm_l2, norm_linf, \
-    pointwise_linf_map, sat_hilbert, sat_pointwise, sat_scalar
+    pointwise_linf_map
 from satiss.saturation import _CHUNK, SaturationKind, SaturationMap, \
     _column_norms, _s_norm, _sat_values, _sprime_norm, apply_saturation
 
 from conftest import L
 
 
-def test_sat_scalar_inside_and_clipped():
-    assert sat_scalar(0.0, 1.0) == 0.0
-    assert sat_scalar(0.5, 1.0) == 0.5
-    assert sat_scalar(2.0, 1.0) == 1.0
-    assert sat_scalar(-3.0, 1.0) == -1.0
-    assert sat_scalar(2.0, 0.3) == 0.3
-
-
-def test_sat_scalar_rejects_bad_level():
-    with pytest.raises(ParameterError):
-        sat_scalar(1.0, 0.0)
-    with pytest.raises(ParameterError):
-        sat_scalar(1.0, -2.0)
-
-
 def test_sat_pointwise_identity_inside_ball():
     g = Grid(L, 32)
     rng = np.random.default_rng(0)
     z = StateVector(g, rng.uniform(-0.99, 0.99, 32))
-    out = sat_pointwise(z, 1.0)
+    out = apply_saturation(pointwise_linf_map(1.0, L), z)
     np.testing.assert_array_equal(out.values, z.values)
 
 
 def test_sat_pointwise_clips_two_sine():
     g = Grid(L, 127)
     z = StateVector(g, 2.0 * np.sin(g.interior_nodes()))
-    out = sat_pointwise(z, 1.0)
-    assert norm_linf(out) == 1.0
-    # node-wise clamp oracle
-    expected = np.array([min(max(v, -1.0), 1.0) for v in z.values])
-    np.testing.assert_array_equal(out.values, expected)
+    for level in (1.0, 0.3):
+        out = apply_saturation(pointwise_linf_map(level, L), z)
+        assert norm_linf(out) == level
+        # node-wise clamp oracle
+        expected = np.array([min(max(v, -level), level) for v in z.values])
+        np.testing.assert_array_equal(out.values, expected)
 
 
 def test_sat_pointwise_monotone_pairs():
@@ -58,17 +44,18 @@ def test_sat_hilbert_branches():
     g = Grid(L, 64)
     base = np.sin(2.0 * g.interior_nodes())
     small = StateVector(g, base * (0.5 / norm_l2(StateVector(g, base))))
-    out = sat_hilbert(small, 1.0)
+    sigma = hilbert_norm_map(1.0)
+    out = apply_saturation(sigma, small)
     np.testing.assert_array_equal(out.values, small.values)
 
     big = StateVector(g, base * (2.0 / norm_l2(StateVector(g, base))))
-    out = sat_hilbert(big, 1.0)
+    out = apply_saturation(sigma, big)
     np.testing.assert_allclose(out.values, big.values / 2.0, rtol=1e-12)
     assert norm_l2(out) == pytest.approx(1.0, rel=1e-12)
     assert norm_l2(out) <= 1.0
 
     zero = StateVector(g, np.zeros(64))
-    np.testing.assert_array_equal(sat_hilbert(zero, 1.0).values, zero.values)
+    np.testing.assert_array_equal(apply_saturation(sigma, zero).values, zero.values)
 
 
 def test_saturation_idempotent_on_fixed_level():
@@ -83,8 +70,11 @@ def test_saturation_idempotent_on_fixed_level():
 
 
 def test_saturation_map_validation():
+    for level in (0.0, -2.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            SaturationMap(SaturationKind.POINTWISE_LINF, level=level)
     with pytest.raises(ParameterError):
-        SaturationMap(SaturationKind.POINTWISE_LINF, level=0.0)
+        hilbert_norm_map(math.inf)
     with pytest.raises(ParameterError):
         SaturationMap(SaturationKind.POINTWISE_LINF, lipschitz_k=0.5)
     with pytest.raises(ParameterError):
@@ -98,6 +88,29 @@ def test_check_axioms_rejects_bad_arguments():
         check_axioms(sigma, g, 0, 1.0, 0)
     with pytest.raises(ParameterError):
         check_axioms(sigma, g, 10, 0.0, 0)
+
+
+@pytest.mark.parametrize("amplitude", [1e154, 3e300, math.inf])
+def test_sweeps_reject_overflowing_amplitude(amplitude):
+    # n (2 amplitude)^2 is not a finite double: a sum of squares of the
+    # sweep would overflow
+    g = Grid(L, 127)
+    assert not math.isfinite(127 * (2.0 * amplitude) * (2.0 * amplitude))
+    sigma = pointwise_linf_map(1.0, L)
+    with pytest.raises(ParameterError, match="overflows"):
+        check_axioms(sigma, g, 10, amplitude, 0)
+    with pytest.raises(ParameterError, match="overflows"):
+        estimate_item5_C0(sigma, g, 10, amplitude, 0)
+
+
+def test_sweep_accepts_large_finite_amplitude():
+    # an amplitude far above the level whose n (2 amplitude)^2 stays finite
+    g = Grid(L, 31)
+    amplitude = 1e152
+    assert math.isfinite(31 * (2.0 * amplitude) ** 2)
+    report = check_axioms(pointwise_linf_map(amplitude / 3.0, L), g, 20, amplitude, 0)
+    assert report.bound_violations == 0 and report.monotonicity_violations == 0
+    assert math.isfinite(report.item4_max_residual)
 
 
 def test_check_axioms_hilbert_quick():

@@ -132,6 +132,28 @@ def test_kdv_rejects_unrepresentable_spacing(length):
         build_kdv_operator(Grid(length, 127))
 
 
+def test_operator_matrix_is_read_only_and_private(grid127):
+    # a caller's writable array is copied: mutating it later leaves A as it was
+    mine = np.eye(127)
+    op = LinearOperator(grid127, mine)
+    mine[0, 0] = 5.0
+    assert op.matrix[0, 0] == 1.0 and op.matrix is not mine
+    assert not op.matrix.flags.writeable
+    # so is a read-only view of someone else's array
+    view = np.eye(127)[:, :]
+    view.setflags(write=False)
+    assert LinearOperator(grid127, view).matrix is not view
+    # a read-only float64 array that owns its data is taken as it is
+    frozen = np.eye(127)
+    frozen.setflags(write=False)
+    assert LinearOperator(grid127, frozen).matrix is frozen
+    A = build_kdv_operator(grid127)
+    assert A.matrix.flags.owndata and not A.matrix.flags.writeable
+    loop = linear_loop_operator(A)
+    assert loop.matrix.flags.owndata and not loop.matrix.flags.writeable
+    np.testing.assert_array_equal(loop.matrix, A.matrix - np.eye(127))
+
+
 def test_operator_apply_and_mismatch(kdv127, grid127):
     z = StateVector(grid127, np.sin(grid127.interior_nodes()))
     np.testing.assert_allclose(kdv127.apply(z).values, kdv127.matrix @ z.values)
@@ -141,21 +163,28 @@ def test_operator_apply_and_mismatch(kdv127, grid127):
         LinearOperator(grid127, np.zeros((3, 3)))
 
 
-def test_disturbance_kinds(grid127):
+def test_disturbance_kinds(grid127, kdv127, z0_cosine):
     t = 0.7
     zero = zero_disturbance()
-    assert zero.norm_at(t, grid127) == 0.0
+    assert (zero.amplitude, zero.frequency, zero.func) == (0.0, 0.0, None)
+    vals = zero.values_at(t, grid127)
+    assert vals.shape == (127,) and np.all(vals == 0.0)
 
     cos = cosine_disturbance(0.05, 2.0)
     vals = cos.values_at(t, grid127)
+    assert vals.shape == (127,)
     assert np.all(vals == 0.05 * math.cos(2.0 * t))
-    # ||const||_L2 = |const| * sqrt(h n)
-    expected = abs(0.05 * math.cos(2.0 * t)) * math.sqrt(
+    # the recorded ||d(t)||: ||const||_L2 = |const| * sqrt(h n)
+    runs = simulate([assemble_closed_loop(kdv127, None, d) for d in (zero, cos)],
+                    [z0_cosine, z0_cosine], 0.01, 1e-3, keep_states=False)
+    assert np.all(runs[0].observables["norm_d"] == 0.0)
+    expected = np.abs(0.05 * np.cos(2.0 * runs[1].times)) * math.sqrt(
         grid127.spacing_h * grid127.n_interior)
-    assert cos.norm_at(t, grid127) == pytest.approx(expected, rel=1e-12)
+    np.testing.assert_allclose(runs[1].observables["norm_d"], expected, rtol=1e-12)
 
     rows = [np.zeros(grid127.n_interior), np.ones(grid127.n_interior)]
     table = table_disturbance([0.0, 1.0], rows)
+    assert callable(table.func)
     np.testing.assert_allclose(table.values_at(0.25, grid127),
                                np.full(grid127.n_interior, 0.25))
     np.testing.assert_allclose(table.values_at(5.0, grid127), rows[1])
@@ -163,6 +192,20 @@ def test_disturbance_kinds(grid127):
 
     custom = custom_disturbance(lambda s: 0.1 * s)
     assert np.all(custom.values_at(2.0, grid127) == 0.2)
+    ramp = custom_disturbance(lambda s: s * grid127.interior_nodes())
+    np.testing.assert_array_equal(ramp.values_at(2.0, grid127),
+                                  2.0 * grid127.interior_nodes())
+
+
+def test_disturbance_values_checked_against_grid(grid127):
+    # a table row or a callable value of the wrong length is a grid mismatch,
+    # at the clamped ends and in between
+    short = table_disturbance([0.0, 1.0], [np.zeros(64), np.ones(64)])
+    for t in (-1.0, 0.5, 2.0):
+        with pytest.raises(GridMismatchError, match="shape"):
+            short.values_at(t, grid127)
+    with pytest.raises(GridMismatchError, match="shape"):
+        custom_disturbance(lambda s: np.zeros(3)).values_at(0.0, grid127)
 
 
 def test_table_disturbance_validation(grid127):
@@ -189,12 +232,6 @@ def test_closed_loop_rhs_definitions(kdv127, grid127):
     big = StateVector(grid127, 2.0 * np.sin(grid127.interior_nodes()))
     expected = kdv127.matrix @ big.values - np.clip(big.values + 0.05, -1.0, 1.0)
     np.testing.assert_allclose(disturbed.rhs_values(big.values, 0.0), expected)
-
-
-def test_only_identity_control_operator(kdv127):
-    from satiss.system import SaturatedSystem
-    with pytest.raises(ParameterError):
-        SaturatedSystem(A=kdv127, B_is_identity=False)
 
 
 def test_step_equilibrium_and_contraction(kdv127, grid127):
