@@ -14,6 +14,7 @@ downstream inequality then refers to the operator actually integrated.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,11 +173,23 @@ def estimate_embedding_constant(grid: Grid, n_samples: int = 400,
 
 def case1_params(C: float, sigma, norm_B: float = 1.0, norm_P: float = 1.0,
                  safety: float = 0.5, P: LinearOperator = None) -> LyapunovParams:
-    """Bundle measured C with a saturation map's constants into filled params."""
-    M, eps1, eps2 = select_params_case1(C, norm_B, norm_P, sigma.item5_C0,
-                                        sigma.lipschitz_k, safety)
-    return LyapunovParams(P=P, C=C, norm_B=norm_B, k=sigma.lipschitz_k,
-                          C0=sigma.item5_C0, M=M, eps1=eps1, eps2=eps2)
+    """Bundle measured C with a saturation map's constants into filled params.
+
+    Raises ``ParameterError`` naming the first of M, eps1, eps2, the decrease
+    coefficient alpha and the gain rho that is not a finite double: a huge
+    saturation level can overflow them, and a report built on them would
+    certify nothing.
+    """
+    C0, k = sigma.item5_C0, sigma.lipschitz_k
+    M, eps1, eps2 = select_params_case1(C, norm_B, norm_P, C0, k, safety)
+    constants = (("M", M), ("eps1", eps1), ("eps2", eps2),
+                 ("alpha", case1_decrease_coeff(C, M, eps1, eps2, norm_B, norm_P, C0)),
+                 ("rho", case1_iss_gain(M, eps1, eps2, C0, k)))
+    for name, value in constants:
+        if not math.isfinite(value):
+            raise ParameterError("case-1 constant %s = %r is not finite (saturation "
+                                 "C0 = %g, k = %g)" % (name, value, C0, k))
+    return LyapunovParams(P=P, C=C, norm_B=norm_B, k=k, C0=C0, M=M, eps1=eps1, eps2=eps2)
 
 
 def case2_params(C: float, c_S: float, r: float, margin: float = 1.1,

@@ -58,8 +58,9 @@ class SaturationMap:
                                  "got %r" % (self.level,))
         if self.lipschitz_k < 1:
             raise ParameterError("Lipschitz constant must be >= 1")
-        if not self.item5_C0 > 0:
-            raise ParameterError("shift-bound constant C0 must be positive")
+        if not 0 < self.item5_C0 < math.inf:
+            raise ParameterError("shift-bound constant C0 must be positive and finite, "
+                                 "got %r" % (self.item5_C0,))
 
 
 def pointwise_linf_map(level: float = 1.0, length_L: float = 2 * math.pi) -> SaturationMap:
@@ -88,20 +89,33 @@ def _column_norms(values: np.ndarray, h: float) -> np.ndarray:
     return np.sqrt(h * np.vecdot(values, values, axis=0))
 
 
+def _ball_scales(values: np.ndarray, level: float, h: float) -> list:
+    """level / max(norm, level) for each column of ``values``, as floats.
+
+    The sums of squares are one reduction over the block, as in
+    ``_column_norms``; the rest is the same IEEE double arithmetic done one
+    float at a time, so each scale is bit for bit the array expression's
+    without a numpy call per operation.  A column inside the ball gets
+    exactly 1.0, a column outside it a scale below 1.0 (level / norm rounds
+    below 1 whenever norm > level), and a column with a NaN norm NaN.
+    """
+    sums = np.vecdot(values, values, axis=0).reshape(-1).tolist()
+    return [1.0 if nrm <= level else level / nrm
+            for nrm in [math.sqrt(h * s) for s in sums]]
+
+
 def _sat_hilbert_values(values: np.ndarray, level: float, h: float) -> np.ndarray:
-    nrm = _column_norms(values, h)
-    if not np.count_nonzero(nrm > level):
+    # a scale below 1 marks a column outside the ball
+    scale = _ball_scales(values, level, h)
+    if not any(map((1.0).__gt__, scale)):
         return np.array(values, dtype=float)
-    # level / max(nrm, level) is level / nrm on the columns outside the
-    # ball and exactly 1 on the others
-    out = values * (level / np.maximum(nrm, level))
+    out = values * scale
     # guard against round-up past the ball so that a second application
     # is exactly the identity
-    nrm2 = _column_norms(out, h)
-    over = nrm2 > level
-    if np.count_nonzero(over):
-        out *= level / np.maximum(nrm2, level)
-        np.multiply(out, 1.0 - 2.0**-50, out=out, where=over)
+    scale = _ball_scales(out, level, h)
+    if any(map((1.0).__gt__, scale)):
+        out *= scale
+        out *= [1.0 - 2.0**-50 if c < 1.0 else 1.0 for c in scale]
     return out
 
 
@@ -142,42 +156,60 @@ class AxiomReport:
         return "\n".join(lines) + "\n"
 
 
-def _sample_values(grid: Grid, rng, amplitude: float) -> np.ndarray:
-    """One random state: rough node-wise uniform or a smooth sine mixture.
-
-    Both families are needed: axioms must hold on all of U, and a single
-    generator would bias the sweep.
-    """
-    if rng.random() < 0.5:
-        return rng.uniform(-amplitude, amplitude, grid.n_interior)
-    v = random_smooth_values(grid, rng, n_modes=8, mode_decay=1.5)
-    peak = np.abs(v).max()
-    if peak == 0.0:
-        return np.zeros(grid.n_interior)
-    return v * (amplitude * rng.uniform(0.2, 1.0) / peak)
-
-
 #: Samples per block of the axiom sweep: a few hundred kB per block array,
 #: whatever the sample count.
 _CHUNK = 256
 
 
-def _sample_blocks(grid: Grid, n_samples: int, rng_seed: int, n_blocks: int, draw):
-    """Yield ``n_blocks`` (n, m) blocks of at most ``_CHUNK`` samples each time.
+def _draw_states(grid: Grid, rngs, amplitude: float, out: np.ndarray):
+    """Fill ``out[i]`` with one random state drawn from ``rngs[i]``.
 
-    Sample i fills one column of each block with the states ``draw(rng)``
-    returns for its own stream ``default_rng((rng_seed, i))``, so a block
-    holds the states a per-sample evaluation would see.  The columns are the
-    contiguous rows of a C-order array; the yielded views are overwritten
-    by the next block.
+    A state is rough (node-wise uniform) or a smooth sine mixture scaled to a
+    random fraction of ``amplitude``, with equal odds; both families are
+    needed, since the axioms must hold on all of U.  The streams are walked
+    in phases, one per draw: the family choice (and a rough row), the series
+    coefficients, then the scale fraction, which a stream draws only when its
+    series has a nonzero peak.  Each stream thus draws what a one-state
+    sampler would draw, in the same order, and the arithmetic on the drawn
+    values is done once per block with the same operations per row.
     """
-    arrays = [np.empty((_CHUNK, grid.n_interior)) for _ in range(n_blocks)]
+    n = grid.n_interior
+    smooth = []
+    for i, rng in enumerate(rngs):
+        if rng.random() < 0.5:
+            out[i] = rng.uniform(-amplitude, amplitude, n)
+        else:
+            smooth.append(i)
+    v = random_smooth_values(grid, [rngs[i] for i in smooth], n_modes=8, mode_decay=1.5)
+    peak = np.abs(v).max(axis=1)
+    live = peak != 0.0
+    rows = np.array(smooth, dtype=np.intp)
+    fraction = np.array([rngs[i].uniform(0.2, 1.0) for i in rows[live]])
+    out[rows[live]] = v[live] * (amplitude * fraction / peak[live])[:, None]
+    out[rows[~live]] = 0.0
+
+
+def _sample_blocks(grid: Grid, n_samples: int, rng_seed: int, n_states: int,
+                   amplitude: float, perturbation_scale: float = None):
+    """Yield lists of ``n_states`` (n, m) blocks of at most ``_CHUNK`` samples.
+
+    Sample i draws its states from its own stream ``default_rng((rng_seed,
+    i))``, in list order, and then the perturbation factor ``uniform(0, 1)``
+    that scales its last state, unless ``perturbation_scale`` fixes it.  So
+    column i of each block is the state a per-sample evaluation would see.
+    The columns are the contiguous rows of a C-order array; the yielded views
+    are overwritten by the next block.
+    """
+    arrays = [np.empty((_CHUNK, grid.n_interior)) for _ in range(n_states)]
     for start in range(0, n_samples, _CHUNK):
         m = min(_CHUNK, n_samples - start)
-        for i in range(m):
-            sample = draw(np.random.default_rng((rng_seed, start + i)))
-            for array, state in zip(arrays, sample):
-                array[i] = state
+        rngs = [np.random.default_rng((rng_seed, start + i)) for i in range(m)]
+        for array in arrays:
+            _draw_states(grid, rngs, amplitude, array)
+        if perturbation_scale is None:
+            arrays[-1][:m] *= np.array([rng.uniform(0.0, 1.0) for rng in rngs])[:, None]
+        else:
+            arrays[-1][:m] *= perturbation_scale
         yield [array[:m].T for array in arrays]
 
 
@@ -247,19 +279,12 @@ def check_axioms(sigma: SaturationMap, grid: Grid, n_samples: int,
     h = grid.spacing_h
     level = sigma.level
     kind = sigma.kind
-
-    def draw(rng):
-        s = _sample_values(grid, rng, amplitude)
-        t = _sample_values(grid, rng, amplitude)
-        pert = _sample_values(grid, rng, amplitude) * rng.uniform(0.0, 1.0)
-        return s, t, pert
-
     bound_violations = 0
     monotonicity_violations = 0
     lipschitz_estimate = 0.0
     item4_max_residual = -math.inf
     item5_estimate = 0.0
-    for s, t, pert in _sample_blocks(grid, n_samples, rng_seed, 3, draw):
+    for s, t, pert in _sample_blocks(grid, n_samples, rng_seed, 3, amplitude):
         sig_s = _sat_values(kind, s, level, h)
         sig_t = _sat_values(kind, t, level, h)
         d_sig = sig_s - sig_t
@@ -296,15 +321,9 @@ def estimate_item5_C0(sigma: SaturationMap, grid: Grid, n_samples: int,
     _check_sweep(grid, n_samples, amplitude)
     h = grid.spacing_h
     level = sigma.level
-
-    def draw(rng):
-        s = _sample_values(grid, rng, amplitude)
-        pert = _sample_values(grid, rng, amplitude)
-        scale = rng.uniform(0.0, 1.0) if perturbation_scale is None else perturbation_scale
-        return s, pert * scale
-
     best = 0.0
-    for s, pert in _sample_blocks(grid, n_samples, rng_seed, 2, draw):
+    for s, pert in _sample_blocks(grid, n_samples, rng_seed, 2, amplitude,
+                                  perturbation_scale):
         sig_s = _sat_values(sigma.kind, s, level, h)
         best = _running_max(best, _shift_ratios(sigma.kind, s, pert, sig_s, level, h))
     return best

@@ -120,16 +120,23 @@ def random_smooth_values(grid: Grid, rng, n_modes: int = 12,
                          mode_decay: float = 3.0, envelope: bool = False) -> np.ndarray:
     """Random truncated sine series with mode amplitudes decaying like j**-decay.
 
-    The coefficient draws do not depend on the grid resolution, so the same
-    ``rng`` state yields samples of one underlying function across grids.
+    ``rng`` is one generator, giving one (n,) state, or a sequence of
+    generators, giving an (len(rng), n) block with one row per generator;
+    each generator draws its ``n_modes`` coefficients in sequence order.  A
+    row is bit for bit the state its generator alone would give.  The
+    coefficient draws do not depend on the grid resolution, so the same
+    generator state yields samples of one underlying function across grids.
     """
-    coeffs = rng.standard_normal(n_modes)
-    # term j is coeffs[j-1] * j**-decay * sin(j pi x / L), summed in order of j
-    terms = (coeffs * [j ** (-mode_decay) for j in range(1, n_modes + 1)])[:, None] \
-        * _sine_basis(grid, n_modes)
-    v = np.zeros(grid.n_interior)
+    single = hasattr(rng, "standard_normal")
+    rngs = [rng] if single else rng
+    coeffs = np.array([r.standard_normal(n_modes) for r in rngs]).reshape(len(rngs), n_modes)
+    # term j is coeffs[j-1] * j**-decay * sin(j pi x / L), summed in order of j;
+    # all terms come from one product, an (n_modes, len(rngs), n) array
+    weights = coeffs * [j ** (-mode_decay) for j in range(1, n_modes + 1)]
+    terms = weights.T[:, :, None] * _sine_basis(grid, n_modes)[:, None, :]
+    v = np.zeros((len(rngs), grid.n_interior))
     for term in terms:
         v += term
     if envelope:
         v = v * boundary_envelope(grid)
-    return v
+    return v[0] if single else v

@@ -163,10 +163,18 @@ def build_kdv_operator(grid: Grid) -> LinearOperator:
     if not 0.0 < c3 < math.inf:
         raise ParameterError("grid spacing h = %g leaves the dispersion stencil "
                              "1 / (2 h^3) outside the finite nonzero doubles" % h)
+    # the sub-diagonal adds the upwind weight c1 to the dispersion weight
+    # -2 c3, 1 / h^2 times larger: for h below about 1e-5 rounding moves c1
+    # by more than 1e-6 of itself, and below about 1e-8 drops it altogether,
+    # so that A is no longer the upwind discretisation
+    sub = c1 - 2.0 * c3
+    if abs((sub + 2.0 * c3) - c1) > 1e-6 * c1:
+        raise ParameterError("grid spacing h = %g is too fine: c1 - 2 c3 = 1/h - 1/h^3 "
+                             "no longer carries the upwind term 1/h" % h)
     m = np.zeros((n, n))
     np.fill_diagonal(m, -c1)
     m[-1, -1] += -c3  # reflected ghost z_{n+2} = z_n
-    np.fill_diagonal(m[1:], c1 - 2.0 * c3)
+    np.fill_diagonal(m[1:], sub)
     np.fill_diagonal(m[:, 1:], 2.0 * c3)
     np.fill_diagonal(m[2:], c3)
     np.fill_diagonal(m[:, 2:], -c3)

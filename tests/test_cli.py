@@ -132,13 +132,37 @@ def test_cli_divergence_exit_code(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("length, code, message", [
     ("1e300", 2, "config error: grid spacing h = "),
-    ("1e-100", 3, "divergence: norm_graph of member 0 is not finite at step 0"),
+    ("1e-100", 2, "config error: grid spacing h = "),
 ])
 def test_cli_grid_extremes_exit_typed(tmp_path, capsys, length, code, message):
     body = MINIMAL.format(out=tmp_path / "extreme_out").replace(
         "domain.L = 6.283185307179586", "domain.L = " + length)
     assert main(["run", str(write_config(tmp_path, body))]) == code
     assert message in capsys.readouterr().err
+
+
+def test_cli_overflowing_graph_norm_is_divergence(tmp_path, capsys):
+    # ||z||^2 is finite for this rough state, ||A z||^2 is not
+    body = MINIMAL.format(out=tmp_path / "overflow_out") + (
+        "initial.family = sine_mode\ninitial.mode = 15\ninitial.amplitude = 1e153\n")
+    assert main(["run", str(write_config(tmp_path, body))]) == 3
+    assert "divergence: norm_graph of member 0 is not finite at step 0" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level, message", [
+    ("1e308", "shift-bound constant C0 must be positive and finite"),
+    ("1e300", "case-1 constant rho = inf is not finite"),
+])
+def test_cli_v1_constants_must_be_finite(tmp_path, capsys, level, message):
+    # the V1 report would read rho=inf (and alpha=nan at 1e308) with exit 0
+    body = MINIMAL.format(out=tmp_path / "v1_out").replace(
+        "time.T = 0.001", "time.T = 0.01").replace(
+        "saturation.kind = pointwise_linf", "saturation.kind = hilbert_norm") + (
+        "saturation.level = %s\nanalysis.dissipation = v1\n" % level)
+    assert main(["run", str(write_config(tmp_path, body))]) == 2
+    assert "config error: " + message in capsys.readouterr().err
+    assert not (tmp_path / "v1_out" / "dissipation_v1_summary.txt").exists()
 
 
 def test_cli_axioms_verb(capsys):

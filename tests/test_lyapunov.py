@@ -246,3 +246,14 @@ def test_dissipation_report_csv(tmp_path, grid127):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,V,dVdt,bound,margin"
     assert len(lines) == 7
+
+
+@pytest.mark.parametrize("level, name", [(1e307, "eps2"), (1e300, "rho")])
+def test_case1_params_reject_non_finite_constants(decay_C, level, name):
+    # C0 = 3 level stays finite; eps2 = 16 C0 / C overflows at 1e307 and
+    # the gain C0 * 2M * eps2 ~ level^2 already at 1e300
+    with pytest.raises(ParameterError, match="case-1 constant %s = inf" % name):
+        case1_params(decay_C, hilbert_norm_map(level))
+    params = case1_params(decay_C, hilbert_norm_map(1e100))
+    rho = case1_iss_gain(params.M, params.eps1, params.eps2, params.C0, params.k)
+    assert math.isfinite(rho)

@@ -7,7 +7,9 @@ from satiss import Grid, ParameterError, StateVector, check_axioms, \
     estimate_item5_C0, hilbert_norm_map, norm_l2, norm_linf, \
     pointwise_linf_map
 from satiss.saturation import _CHUNK, SaturationKind, SaturationMap, \
-    _column_norms, _s_norm, _sat_values, _sprime_norm, apply_saturation
+    _column_norms, _draw_states, _s_norm, _sample_blocks, _sat_values, \
+    _sprime_norm, apply_saturation
+from satiss.spaces import random_smooth_values
 
 from conftest import L
 
@@ -77,8 +79,11 @@ def test_saturation_map_validation():
         hilbert_norm_map(math.inf)
     with pytest.raises(ParameterError):
         SaturationMap(SaturationKind.POINTWISE_LINF, lipschitz_k=0.5)
-    with pytest.raises(ParameterError):
-        SaturationMap(SaturationKind.HILBERT_NORM, item5_C0=0.0)
+    for C0 in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="C0 must be positive and finite"):
+            SaturationMap(SaturationKind.HILBERT_NORM, item5_C0=C0)
+    with pytest.raises(ParameterError, match="C0"):
+        hilbert_norm_map(1e308)  # C0 = 3 level overflows
 
 
 def test_check_axioms_rejects_bad_arguments():
@@ -270,11 +275,21 @@ _GOLDEN_REPORTS = {
         "hilbert_norm": (0, 0, "0.92232748490252214", "-0.24963252647863696",
                          "0.088301295014240097"),
     }),
+    # the CLI's `satiss axioms <kind> 1.0` sweep, 39 full blocks and a partial one
+    "cli_sweep": ((127, 10000, 3.0, 0, 1.0), {
+        "pointwise_linf": (0, 0, "1", "-0.46055799933226427", "1.3481147876589499"),
+        "hilbert_norm": (0, 0, "1", "-0.46055799933226427", "0.84718286135975196"),
+    }),
+    "ten_thousand_level_half": ((63, 10000, 1.5, 7, 0.5), {
+        "pointwise_linf": (0, 0, "1", "-0.19289800247713149", "0.74652009333293057"),
+        "hilbert_norm": (0, 0, "1", "-0.19289800247713149", "0.28189492338477046"),
+    }),
 }
 
 
 def test_golden_sample_counts_span_blocks():
-    assert 785 > _CHUNK and 785 % _CHUNK != 0
+    for n_samples in (785, 10000):
+        assert n_samples > _CHUNK and n_samples % _CHUNK != 0
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_REPORTS))
@@ -300,3 +315,90 @@ def test_estimate_item5_golden_values():
                              perturbation_scale=0.5) == 0.7930809082114515
     assert estimate_item5_C0(hilbert_norm_map(1.0), g, 785, 3.0, 4) \
         == 0.10926100354394463
+
+
+def _oracle_sample_values(grid, rng, amplitude):
+    """One state drawn and scaled sample by sample, as the sweep did before
+    its draws were phased over a block."""
+    if rng.random() < 0.5:
+        return rng.uniform(-amplitude, amplitude, grid.n_interior)
+    v = random_smooth_values(grid, rng, n_modes=8, mode_decay=1.5)
+    peak = np.abs(v).max()
+    if peak == 0.0:
+        return np.zeros(grid.n_interior)
+    return v * (amplitude * rng.uniform(0.2, 1.0) / peak)
+
+
+def _oracle_sample(grid, rng, amplitude, n_states, perturbation_scale):
+    states = [_oracle_sample_values(grid, rng, amplitude) for _ in range(n_states)]
+    scale = rng.uniform(0.0, 1.0) if perturbation_scale is None else perturbation_scale
+    states[-1] = states[-1] * scale
+    return states
+
+
+@pytest.mark.parametrize("amplitude", [3.0, 0.1])
+@pytest.mark.parametrize("n_states, perturbation_scale", [
+    (3, None),   # check_axioms: s, t and a randomly scaled perturbation
+    (2, None),   # estimate_item5_C0
+    (2, 0.5),    # estimate_item5_C0 with a fixed perturbation scale
+])
+def test_phased_sampler_matches_per_sample_oracle(amplitude, n_states, perturbation_scale):
+    g = Grid(L, 127)
+    n_samples, seed = 785, 6
+    columns = [[] for _ in range(n_states)]
+    for blocks in _sample_blocks(g, n_samples, seed, n_states, amplitude, perturbation_scale):
+        for column, block in zip(columns, blocks):
+            assert block.shape[0] == 127 and block.shape[1] <= _CHUNK
+            column.extend(block.T.copy())
+    rough = 0
+    for i in range(n_samples):
+        expected = _oracle_sample(g, np.random.default_rng((seed, i)), amplitude,
+                                  n_states, perturbation_scale)
+        for column, state in zip(columns, expected):
+            np.testing.assert_array_equal(column[i], state)
+            assert np.array_equal(np.signbit(column[i]), np.signbit(state))
+        rough += np.random.default_rng((seed, i)).random() < 0.5  # first state's family
+    assert 0 < rough < n_samples  # both families were drawn
+
+
+class _ZeroSeriesStream:
+    """A generator whose series coefficients are all zero: every smooth
+    state has peak 0.  It takes the smooth branch and consumes the inner
+    generator's draws as usual, and records its uniform draws."""
+
+    def __init__(self, seed):
+        self.inner = np.random.default_rng(seed)
+        self.uniform_calls = []
+
+    def random(self):
+        return 0.5 + 0.5 * self.inner.random()
+
+    def standard_normal(self, size):
+        self.inner.standard_normal(size)
+        return np.zeros(size)
+
+    def uniform(self, low, high, size=None):
+        self.uniform_calls.append((low, high))
+        return self.inner.uniform(low, high, size)
+
+
+def test_zero_peak_stream_draws_no_scale_fraction():
+    g = Grid(L, 63)
+    amplitude = 3.0
+    rngs = [np.random.default_rng((1, 0)), _ZeroSeriesStream((1, 1)),
+            np.random.default_rng((1, 2)), _ZeroSeriesStream((1, 3))]
+    oracles = [np.random.default_rng((1, 0)), _ZeroSeriesStream((1, 1)),
+               np.random.default_rng((1, 2)), _ZeroSeriesStream((1, 3))]
+    for _ in range(3):
+        out = np.full((len(rngs), 63), np.nan)
+        _draw_states(g, rngs, amplitude, out)
+        for row, oracle in zip(out, oracles):
+            expected = _oracle_sample_values(g, oracle, amplitude)
+            np.testing.assert_array_equal(row, expected)
+            assert np.array_equal(np.signbit(row), np.signbit(expected))
+    for stub in (rngs[1], rngs[3]):
+        assert (0.2, 1.0) not in stub.uniform_calls
+    np.testing.assert_array_equal(out[1], np.zeros(63))
+    for rng, oracle in zip(rngs, oracles):
+        inner = getattr(rng, "inner", rng)
+        assert inner.bit_generator.state == getattr(oracle, "inner", oracle).bit_generator.state

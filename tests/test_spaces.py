@@ -191,3 +191,26 @@ def test_random_smooth_values_cached_basis_bit_for_bit(n):
     basis = _sine_basis(g, 8)
     assert basis is _sine_basis(Grid(L, n), 8)
     assert not basis.flags.writeable
+
+
+def test_random_smooth_values_block_rows_match_single_generators():
+    # a sequence of generators gives one row each, bit for bit the state
+    # each generator gives alone, and leaves each where a single call does
+    g = Grid(L, 127)
+    for n_modes, mode_decay, envelope in ((8, 1.5, False), (12, 3.0, True)):
+        block = random_smooth_values(g, [np.random.default_rng((3, i)) for i in range(7)],
+                                     n_modes, mode_decay, envelope)
+        assert block.shape == (7, 127)
+        for i in range(7):
+            rng = np.random.default_rng((3, i))
+            single = random_smooth_values(g, rng, n_modes, mode_decay, envelope)
+            assert single.shape == (127,)
+            np.testing.assert_array_equal(block[i], single)
+            assert np.array_equal(np.signbit(block[i]), np.signbit(single))
+    rngs = [np.random.default_rng((3, i)) for i in range(3)]
+    random_smooth_values(g, rngs)
+    for i, rng in enumerate(rngs):
+        alone = np.random.default_rng((3, i))
+        alone.standard_normal(12)
+        assert rng.bit_generator.state == alone.bit_generator.state
+    assert random_smooth_values(g, []).shape == (0, 127)

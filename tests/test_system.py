@@ -118,9 +118,10 @@ def test_gate_rejects_shifted_operator(grid127, kdv127):
         kdv127.max_symmetric_eigenvalue + 0.1, rel=1e-10)
 
 
-def test_gate_tolerance_finite_at_tiny_domain():
+def test_gate_tolerance_finite_for_huge_entries(grid127, kdv127):
     # stencil entries near 1e306: an unscaled Gram matrix would overflow
-    A = build_kdv_operator(Grid(1e-100, 127))
+    m = kdv127.matrix
+    A = LinearOperator(grid127, m * (1e306 / np.max(np.abs(m))))
     expected = 1e-8 * np.linalg.norm(A.matrix, 2)
     assert math.isfinite(dissipativity_tolerance(A))
     assert dissipativity_tolerance(A) == pytest.approx(expected, rel=1e-12)
@@ -130,6 +131,27 @@ def test_gate_tolerance_finite_at_tiny_domain():
 def test_kdv_rejects_unrepresentable_spacing(length):
     with pytest.raises(ParameterError, match="h = "):
         build_kdv_operator(Grid(length, 127))
+
+
+@pytest.mark.parametrize("length", [1e-6, 1e-100])
+def test_kdv_rejects_spacing_that_rounds_away_the_upwind_term(length):
+    # h = 7.8e-9 at L = 1e-6: c1 - 2 c3 rounds to -2 c3 and the gate alone
+    # would pass the operator
+    grid = Grid(length, 127)
+    h = grid.spacing_h
+    c1, c3 = 1.0 / h, 1.0 / (2.0 * h**3)
+    assert (c1 - 2.0 * c3) + 2.0 * c3 != c1
+    with pytest.raises(ParameterError, match="h = %g is too fine" % h):
+        build_kdv_operator(grid)
+
+
+def test_kdv_keeps_the_upwind_term_on_fine_grids():
+    # n = 4095 on [0, 2 pi]: the sub-diagonal carries c1 up to the two
+    # roundings at the scale of 2 c3, 9.5e-11 of c1 here
+    A = build_kdv_operator(Grid(L, 4095))
+    h = A.grid.spacing_h
+    c1, c3 = 1.0 / h, 1.0 / (2.0 * h**3)
+    assert abs((A.matrix[1, 0] + 2.0 * c3) - c1) <= np.finfo(float).eps * 2.0 * c3
 
 
 def test_operator_matrix_is_read_only_and_private(grid127):
@@ -422,11 +444,13 @@ def test_simulate_non_finite_state_raises_diverged(kdv127, z0_cosine):
 
 
 def test_simulate_non_finite_norm_raises_diverged():
-    # the state stays finite, but ||A z||^2 overflows at every step
-    grid = Grid(1e-100, 31)
-    A = build_kdv_operator(grid)
-    z0 = StateVector(grid, 1.0 - np.cos(2.0 * np.pi * grid.interior_nodes() / 1e-100))
-    sys_sat = assemble_closed_loop(A, pointwise_linf_map(1.0, 1e-100))
+    # the state stays finite, but ||A z||^2 overflows at every step: the
+    # KdV operator on 31 nodes scaled to entries near 1e304
+    grid = Grid(L, 31)
+    m = build_kdv_operator(grid).matrix
+    A = LinearOperator(grid, m * (1e304 / np.max(np.abs(m))))
+    z0 = StateVector(grid, 1.0 - np.cos(2.0 * np.pi * grid.interior_nodes() / L))
+    sys_sat = assemble_closed_loop(A, pointwise_linf_map(1.0, L))
     with pytest.raises(SimulationDiverged,
                        match="norm_graph of member 0 is not finite at step 0") as info:
         simulate(sys_sat, z0, 2e-3, 1e-3)
