@@ -270,7 +270,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None):
     params = _dissipation_params(config, A, sigma, z0, C, grid, seed)
 
     traj = simulate(sys_loop, z0, T, dt,
-                    observers=lyap.trajectory_observers(params) if params else None)
+                    observers=lyap.trajectory_observers(params) if params else None,
+                    keep_states=config["output.states"])
     traj.write_observables_csv(os.path.join(outdir, "trajectory.csv"))
     files.append("trajectory.csv")
     if config["output.states"]:

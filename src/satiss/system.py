@@ -34,67 +34,111 @@ DISSIPATIVITY_TOLERANCE_FACTOR = 1e-8
 def _band_eigenvalue(lower_diagonals, index: int) -> float:
     """Eigenvalue number ``index`` (ascending; -1 is the largest) of the
     symmetric matrix whose main and lower diagonals are ``lower_diagonals``
-    (main first), by banded LAPACK on its lower band form."""
+    (main first), by banded LAPACK on its narrowest lower band form: the
+    trailing all-zero diagonals are dropped."""
     n = len(lower_diagonals[0])
-    band = np.zeros((len(lower_diagonals), n))
-    for k, diagonal in enumerate(lower_diagonals):
+    width = len(lower_diagonals)
+    while width > 1 and not np.any(lower_diagonals[width - 1]):
+        width -= 1
+    band = np.zeros((width, n))
+    for k, diagonal in enumerate(lower_diagonals[:width]):
         band[k, :n - k] = diagonal
     i = index % n
     return float(eigvals_banded(band, lower=True, select="i", select_range=(i, i))[0])
 
 
-@dataclass(frozen=True, eq=False)
 class LinearOperator:
-    """Dense matrix realization of a linear operator on grid functions.
+    """A linear operator on grid functions, held as its band.
 
-    The spectral values the gates read come from the matrix's band, found
-    once per operator, and are computed on first use.  A general dense
-    matrix is a band of full width and takes the same route.
+    The band, the diagonals at offsets -p..p with p the bandwidth, is the
+    operator's data: ``bandwidth``, ``csc`` and the spectral values read
+    it.  ``from_band`` takes the diagonals as they are.  A dense matrix (a
+    test fixture, a weight P) is kept as it is, and its band is found by
+    one scan; a general dense matrix is a band of full width and takes the
+    same route.  The dense ``matrix`` of an operator built from its band is
+    filled once, on first read.  Spectral values are computed on first use.
+    Operators are immutable.
     """
 
-    grid: Grid
-    matrix: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, grid: Grid, matrix):
         # a read-only float64 array that owns its data is taken as it is;
         # anything else is copied, so a caller's array cannot change A later
-        m = self.matrix
+        m = matrix
         if not (isinstance(m, np.ndarray) and m.dtype == np.float64
                 and m.flags.owndata and not m.flags.writeable):
             m = np.array(m, dtype=float)
             m.setflags(write=False)
-        n = self.grid.n_interior
+        n = grid.n_interior
         if m.shape != (n, n):
             raise GridMismatchError(
                 "operator is %r but the grid has %d interior nodes" % (m.shape, n))
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "grid", grid)
+        self.__dict__["matrix"] = m
+
+    @classmethod
+    def from_band(cls, grid: Grid, diagonals) -> LinearOperator:
+        """The operator whose diagonals at offsets -p..p are ``diagonals``
+        (2p + 1 of them; the one at offset k has n - |k| entries)."""
+        n = grid.n_interior
+        p = (len(diagonals) - 1) // 2
+        band = tuple(np.array(d, dtype=float) for d in diagonals)
+        if len(band) % 2 != 1 or p >= n or any(
+                d.shape != (n - abs(k),) for k, d in zip(range(-p, p + 1), band)):
+            raise GridMismatchError("a band of %d diagonals does not fit a grid of %d "
+                                    "interior nodes" % (len(band), n))
+        for d in band:
+            d.setflags(write=False)
+        op = cls.__new__(cls)
+        object.__setattr__(op, "grid", grid)
+        op.__dict__["band"] = band
+        return op
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LinearOperator is immutable")
 
     @cached_property
-    def bandwidth(self) -> int:
-        """Largest |i - j| over the nonzero entries (0 for a zero matrix)."""
-        nonzero = self.matrix != 0
+    def band(self) -> tuple:
+        """Read-only diagonals at offsets -p..p, p = ``bandwidth``.  For a
+        dense matrix, p is the largest |i - j| over its nonzero entries (0
+        for a zero matrix)."""
+        m = self.matrix
+        nonzero = m != 0
         n = len(nonzero)
         rows = np.arange(n)
         first = nonzero.argmax(axis=1)
         last = n - 1 - nonzero[:, ::-1].argmax(axis=1)
         reach = np.maximum(rows - first, last - rows)
-        return int(np.max(reach, where=nonzero[rows, first], initial=0))
+        p = int(np.max(reach, where=nonzero[rows, first], initial=0))
+        return tuple(np.diagonal(m, k) for k in range(-p, p + 1))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, zero outside the band; read-only, owns its data."""
+        n, p = self.grid.n_interior, self.bandwidth
+        m = np.zeros((n, n))
+        for k, diagonal in zip(range(-p, p + 1), self.band):
+            np.fill_diagonal(m[max(-k, 0):, max(k, 0):], diagonal)
+        m.setflags(write=False)
+        return m
+
+    @property
+    def bandwidth(self) -> int:
+        return (len(self.band) - 1) // 2
 
     @cached_property
     def csc(self) -> sparse.csc_matrix:
         """The matrix in compressed sparse column form, built from its band."""
-        m, p = self.matrix, self.bandwidth
-        offsets = range(-p, p + 1)
-        out = sparse.diags([np.diagonal(m, k) for k in offsets], offsets, format="csc")
+        p = self.bandwidth
+        out = sparse.diags(self.band, range(-p, p + 1), format="csc")
         out.eliminate_zeros()  # zeros inside the band are not stored, as in csc_matrix(m)
         return out
 
     def symmetric_eigenvalue(self, index: int) -> float:
         """Eigenvalue number ``index`` (ascending; -1 is the largest) of the
         symmetric part (A + A^T) / 2."""
-        m = self.matrix
-        return _band_eigenvalue([0.5 * np.diagonal(m, -k) + 0.5 * np.diagonal(m, k)
-                                 for k in range(self.bandwidth + 1)], index)
+        band, p = self.band, self.bandwidth
+        return _band_eigenvalue([0.5 * band[p - k] + 0.5 * band[p + k]
+                                 for k in range(p + 1)], index)
 
     @cached_property
     def max_symmetric_eigenvalue(self) -> float:
@@ -113,7 +157,7 @@ class LinearOperator:
             return 0.0
         scaled = self.csc / s
         gram = (scaled.T @ scaled).tocsr()
-        width = min(2 * self.bandwidth, len(self.matrix) - 1)
+        width = min(2 * self.bandwidth, self.grid.n_interior - 1)
         lam = _band_eigenvalue([gram.diagonal(-k) for k in range(width + 1)], -1)
         return s * math.sqrt(lam)
 
@@ -129,10 +173,16 @@ def dissipativity_tolerance(op: LinearOperator) -> float:
 
 def dissipativity_gate(op: LinearOperator) -> LinearOperator:
     """``op`` itself if lambda_max(sym A) is within the gate tolerance;
-    raises DissipativityGateFailed otherwise."""
-    tol = dissipativity_tolerance(op)
-    if op.max_symmetric_eigenvalue > tol:
-        raise DissipativityGateFailed(op.max_symmetric_eigenvalue, tol)
+    raises DissipativityGateFailed otherwise.
+
+    The tolerance 1e-8 ||A||_2 is never negative, so lambda_max <= 0 passes
+    whatever it is; ||A||_2 is computed only when lambda_max > 0.
+    """
+    lam = op.max_symmetric_eigenvalue
+    if lam > 0.0:
+        tol = dissipativity_tolerance(op)
+        if lam > tol:
+            raise DissipativityGateFailed(lam, tol)
     return op
 
 
@@ -145,6 +195,7 @@ def build_kdv_operator(grid: Grid) -> LinearOperator:
     Node values left of the domain and at both walls are zero (Dirichlet);
     the right condition z_x(L) = 0 enters through the reflected ghost
     z_{n+2} := z_n, which folds one entry onto the last diagonal element.
+    The five diagonals are assembled directly as the operator's band.
 
     The upwind part has positive-definite symmetric part and the centered
     part is antisymmetric up to the (negative-semidefinite) ghost fold, so
@@ -171,23 +222,19 @@ def build_kdv_operator(grid: Grid) -> LinearOperator:
     if abs((sub + 2.0 * c3) - c1) > 1e-6 * c1:
         raise ParameterError("grid spacing h = %g is too fine: c1 - 2 c3 = 1/h - 1/h^3 "
                              "no longer carries the upwind term 1/h" % h)
-    m = np.zeros((n, n))
-    np.fill_diagonal(m, -c1)
-    m[-1, -1] += -c3  # reflected ghost z_{n+2} = z_n
-    np.fill_diagonal(m[1:], sub)
-    np.fill_diagonal(m[:, 1:], 2.0 * c3)
-    np.fill_diagonal(m[2:], c3)
-    np.fill_diagonal(m[:, 2:], -c3)
-    m.setflags(write=False)
-    return dissipativity_gate(LinearOperator(grid, m))
+    main = np.full(n, -c1)
+    main[-1] += -c3  # reflected ghost z_{n+2} = z_n
+    band = (np.full(n - 2, c3), np.full(n - 1, sub), main,
+            np.full(n - 1, 2.0 * c3), np.full(n - 2, -c3))
+    return dissipativity_gate(LinearOperator.from_band(grid, band))
 
 
 def linear_loop_operator(A: LinearOperator) -> LinearOperator:
-    """Generator A - B B* of the unsaturated feedback loop (B = identity)."""
-    m = np.array(A.matrix)
-    np.fill_diagonal(m, m.diagonal() - 1.0)
-    m.setflags(write=False)
-    return LinearOperator(A.grid, m)
+    """Generator A - B B* of the unsaturated feedback loop (B = identity):
+    A's band with its main diagonal shifted by -1."""
+    band, p = list(A.band), A.bandwidth
+    band[p] = band[p] - 1.0
+    return LinearOperator.from_band(A.grid, band)
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,6 +458,15 @@ def _write_csv(path, header, columns):
             fh.write("".join(row % tuple(r) for r in block.tolist()))
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _sums_of_squares(blocks, out):
+    """out[k] = the column sums of squares of blocks[k].  A sum that
+    overflows stays non-finite, without a warning: ``simulate`` checks the
+    recorded sums after its loop and reports them as a divergence."""
+    for k, block in enumerate(blocks):
+        np.vecdot(block, block, axis=0, out=out[k])
+
+
 def simulate(sys, z0, T: float, dt: float, observers: dict = None,
              keep_states: bool = True):
     """Integrate the closed loop over [0, T] and record observables per step.
@@ -471,8 +527,7 @@ def simulate(sys, z0, T: float, dt: float, observers: dict = None,
         times[i] = t
         if keep_states:
             states[:, i] = z.T
-        for k, block in enumerate((z, az, u, d)):
-            np.vecdot(block, block, axis=0, out=squares[k, :, i])
+        _sums_of_squares((z, az, u, d), squares[:, :, i])
         if custom:
             for j in range(m):
                 zj = StateVector(grid, z[:, j])

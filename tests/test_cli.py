@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,22 @@ def test_run_artifacts_byte_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+@pytest.mark.parametrize("states", [False, True])
+def test_run_keeps_states_only_when_written(tmp_path, monkeypatch, states):
+    # the gap report integrates its own twins and needs no stored history
+    kept, real = [], cli.simulate
+
+    def recording(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        kept.append(traj.states is not None)
+        return traj
+    monkeypatch.setattr(cli, "simulate", recording)
+    body = MINIMAL + "analysis.gap = true\noutput.states = %s\n" % str(states).lower()
+    _, files = run_experiment(parse_config_text(body.format(out=tmp_path / "out")))
+    assert kept == [states]
+    assert ("states.csv" in files) == states and "gap.csv" in files
+
+
 def test_output_root_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("SATISS_OUTPUT_ROOT", str(tmp_path))
     cfg = parse_config_text(MINIMAL.format(out="nested/exp"))
@@ -142,12 +159,15 @@ def test_cli_grid_extremes_exit_typed(tmp_path, capsys, length, code, message):
 
 
 def test_cli_overflowing_graph_norm_is_divergence(tmp_path, capsys):
-    # ||z||^2 is finite for this rough state, ||A z||^2 is not
+    # ||z||^2 is finite for this rough state, ||A z||^2 is not; the overflow
+    # is reported once, as the typed line, and raises no numpy warning
     body = MINIMAL.format(out=tmp_path / "overflow_out") + (
         "initial.family = sine_mode\ninitial.mode = 15\ninitial.amplitude = 1e153\n")
-    assert main(["run", str(write_config(tmp_path, body))]) == 3
-    assert "divergence: norm_graph of member 0 is not finite at step 0" \
-        in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(write_config(tmp_path, body))]) == 3
+    assert capsys.readouterr().err \
+        == "divergence: norm_graph of member 0 is not finite at step 0\n"
 
 
 @pytest.mark.parametrize("level, message", [

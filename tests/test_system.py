@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from scipy import sparse
 from satiss import DissipativityGateFailed, Grid, GridMismatchError, \
     ParameterError, SimulationDiverged, StateVector, assemble_closed_loop, \
     build_kdv_operator, cosine_disturbance, custom_disturbance, \
-    linear_loop_operator, norm_l2, simulate, smooth_initial_data, step, \
-    table_disturbance, zero_disturbance
+    linear_loop_operator, measure_decay_constant, norm_l2, simulate, \
+    smooth_initial_data, step, table_disturbance, zero_disturbance
 from satiss.saturation import hilbert_norm_map, pointwise_linf_map
 from satiss.system import LinearOperator, Trajectory, dissipativity_gate, \
     dissipativity_tolerance
@@ -116,6 +117,105 @@ def test_gate_rejects_shifted_operator(grid127, kdv127):
         dissipativity_gate(shifted)
     assert info.value.lambda_max == pytest.approx(
         kdv127.max_symmetric_eigenvalue + 0.1, rel=1e-10)
+    # the failure carries the same lambda_max and tolerance as when the gate
+    # computed ||A||_2 first
+    assert (info.value.lambda_max.hex(), info.value.tolerance.hex()) \
+        == ("0x1.80127a377afbfp-4", "0x1.cc02161ec4a0cp-13")
+
+
+def test_gate_reads_spectral_norm_only_for_positive_lambda_max(grid127):
+    # lambda_max <= 0 passes whatever the tolerance is: ||A||_2 is not computed
+    A = build_kdv_operator(grid127)
+    assert A.max_symmetric_eigenvalue < 0.0 and "spectral_norm" not in vars(A)
+    minus_identity = LinearOperator(grid127, -np.eye(127))
+    assert dissipativity_gate(minus_identity) is minus_identity
+    assert "spectral_norm" not in vars(minus_identity)
+    # 0 < lambda_max <= 1e-8 ||A||_2 passes, after computing the tolerance
+    eps = 1e-4 - A.max_symmetric_eigenvalue
+    barely = LinearOperator(grid127, A.matrix + eps * np.eye(127))
+    assert 0.0 < barely.max_symmetric_eigenvalue <= dissipativity_tolerance(barely)
+    assert dissipativity_gate(barely) is barely
+
+
+#: float.hex of (lambda_max(sym op), C = -2 lambda_max) for op = A and A - I,
+#: the KdV operator on [0, 2 pi], as computed from the width-2 symmetric band
+SPECTRAL_GOLDENS = {
+    127: (("-0x1.9871f621ea401p-8", "0x1.9871f621ea401p-7"),
+          ("-0x1.019871f621ea5p+0", "0x1.019871f621ea5p+1")),
+    2047: (("-0x1.92841325bffffp-12", "0x1.92841325bffffp-11"),
+           ("-0x1.00192841325bfp+0", "0x1.00192841325bfp+1")),
+}
+
+
+@pytest.mark.parametrize("n", sorted(SPECTRAL_GOLDENS))
+def test_spectral_constants_golden(n):
+    A = build_kdv_operator(Grid(L, n))
+    for op, (lam, C) in zip((A, linear_loop_operator(A)), SPECTRAL_GOLDENS[n]):
+        assert op.max_symmetric_eigenvalue.hex() == lam
+        assert measure_decay_constant(op).hex() == C
+
+
+def _dense_kdv_fill(grid):
+    """The KdV matrix as a dense fill, zeros first: the oracle for the
+    matrix the operator forms from its band."""
+    n, h = grid.n_interior, grid.spacing_h
+    c1, c3 = 1.0 / h, 1.0 / (2.0 * h**3)
+    m = np.zeros((n, n))
+    np.fill_diagonal(m, -c1)
+    m[-1, -1] += -c3
+    np.fill_diagonal(m[1:], c1 - 2.0 * c3)
+    np.fill_diagonal(m[:, 1:], 2.0 * c3)
+    np.fill_diagonal(m[2:], c3)
+    np.fill_diagonal(m[:, 2:], -c3)
+    return m
+
+
+@pytest.mark.parametrize("n", [5, 127, 2047])
+def test_dense_matrix_from_band_matches_dense_fill(n):
+    grid = Grid(L, n)
+    A = build_kdv_operator(grid)
+    loop = linear_loop_operator(A)
+    # neither operator has formed its dense matrix yet
+    assert "matrix" not in vars(A) and "matrix" not in vars(loop)
+    oracle = _dense_kdv_fill(grid)
+    assert A.matrix.tobytes() == oracle.tobytes()
+    assert loop.matrix.tobytes() == (oracle - np.eye(n)).tobytes()
+    for op in (A, loop):
+        assert op.matrix.flags.owndata and not op.matrix.flags.writeable
+        assert op.matrix is op.matrix  # formed once
+        # the dense scan finds the band back
+        dense = LinearOperator(grid, op.matrix)
+        assert [d.tobytes() for d in dense.band] == [d.tobytes() for d in op.band]
+
+
+def test_decay_constant_reads_no_dense_matrix():
+    # a dense copy of the n = 2047 loop generator would take 33.5 MB
+    A = build_kdv_operator(Grid(L, 2047))
+    tracemalloc.start()
+    try:
+        C = measure_decay_constant(linear_loop_operator(A))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert C > 0.0 and peak < 4 * 2**20
+    assert "matrix" not in vars(A)
+
+
+def test_band_operator_validation_and_immutability(grid127, kdv127):
+    n = grid127.n_interior
+    with pytest.raises(GridMismatchError):
+        LinearOperator.from_band(grid127, [np.ones(n - 1), np.ones(n)])
+    with pytest.raises(GridMismatchError):
+        LinearOperator.from_band(grid127, [np.ones(n), np.ones(n), np.ones(n)])
+    with pytest.raises(GridMismatchError):
+        # p = n: every length fits, but the outer diagonals lie off the matrix
+        LinearOperator.from_band(Grid(L, 5), [np.ones(5 - abs(k)) for k in range(-5, 6)])
+    diagonals = [np.ones(n - 1), -np.ones(n), np.ones(n - 1)]
+    op = LinearOperator.from_band(grid127, diagonals)
+    diagonals[1][0] = 5.0  # the operator keeps its own copy
+    assert op.band[1][0] == -1.0 and not op.band[1].flags.writeable
+    with pytest.raises(AttributeError):
+        kdv127.grid = Grid(L, 64)
 
 
 def test_gate_tolerance_finite_for_huge_entries(grid127, kdv127):
