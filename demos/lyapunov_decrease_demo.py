@@ -8,7 +8,7 @@
 #
 # Regime 2 (saturation bounded only in the sup norm): quadratic-augmented
 # function V2 for data of graph norm <= r; undisturbed, it must decay like
-# exp(-mu t) with mu = C / (||P|| + M~ r).
+# exp(-mu t) with mu = C / (1 + M~ r).
 
 import math
 
@@ -30,8 +30,7 @@ print("measured C = %.4f" % C)
 # regime 1: Hilbert-ball saturation, cosine disturbance
 sigma = hilbert_norm_map(1.0)
 params = case1_params(C, sigma, safety=0.5)
-alpha = case1_decrease_coeff(C, params.M, params.eps1, params.eps2, 1.0, 1.0,
-                             params.C0)
+alpha = case1_decrease_coeff(C, params.M, params.eps1, params.eps2, params.C0)
 rho = case1_iss_gain(params.M, params.eps1, params.eps2, params.C0, params.k)
 print("regime 1: M=%g eps1=%.4f eps2=%.4f -> alpha=%.4f rho=%.1f"
       % (params.M, params.eps1, params.eps2, alpha, rho))
@@ -39,7 +38,9 @@ print("regime 1: M=%g eps1=%.4f eps2=%.4f -> alpha=%.4f rho=%.1f"
 x = grid.interior_nodes()
 z0 = StateVector(grid, 1.0 - np.cos(x))
 loop = assemble_closed_loop(A, sigma, cosine_disturbance(0.05, 1.0))
-traj = simulate(loop, z0, 9.0, 1e-3, observers=trajectory_observers(params))
+traj = simulate(loop, z0, 9.0, 1e-3)
+traj.observables.update((name, series(traj)) for name, series
+                        in trajectory_observers(params).items())
 report = dissipation_report(traj, "V1", alpha, rho)
 print("V1 decrease check: %d violations, worst margin %.4g"
       % (report.violation_count, report.worst_margin))
@@ -53,10 +54,10 @@ loop = assemble_closed_loop(A, pointwise_linf_map(1.0, L), zero_disturbance())
 rng = np.random.default_rng(4)
 for r in (1.0, 4.0):
     p2 = case2_params(C, c_s, r, margin=1.1)
-    mu = case2_decay_rate(C, 1.0, p2.M_tilde, r)
+    mu = case2_decay_rate(C, p2.M_tilde, r)
     z0r = smooth_initial_data(grid, A, r, rng)
-    traj = simulate(loop, z0r, 6.0, 1e-3, observers=trajectory_observers(p2))
-    v2s = traj.observables["V2"]
+    traj = simulate(loop, z0r, 6.0, 1e-3)
+    v2s = trajectory_observers(p2)["V2"](traj)
     ratio = np.max(v2s / (np.exp(-mu * traj.times) * v2s[0]))
     print("r=%g: M~=%.4f mu=%.4f, worst V2 / envelope = %.6f (<= 1 + 1e-4)"
           % (r, p2.M_tilde, mu, ratio))

@@ -16,8 +16,7 @@ from .system import DisturbanceSignal, LinearOperator, SaturatedSystem, \
 from .lyapunov import DissipationReport, LyapunovParams, case1_decrease_coeff, \
     case1_iss_gain, case1_params, case2_decay_rate, case2_params, \
     dissipation_report, estimate_embedding_constant, measure_decay_constant, \
-    select_param_case2, select_params_case1, trajectory_observers, v1, v2, \
-    v_quadratic
+    select_param_case2, select_params_case1, trajectory_observers
 from .iss import GapReport, IssCertificate, SemiGlobalFit, brs_check, \
     fit_semiglobal, globalize, gronwall_gap, iss_certificate, \
     smooth_initial_data

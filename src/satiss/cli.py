@@ -269,9 +269,10 @@ def run_experiment(config: ExperimentConfig, output_dir=None):
     C = lyap.measure_decay_constant(linear_loop_operator(A))
     params = _dissipation_params(config, A, sigma, z0, C, grid, seed)
 
-    traj = simulate(sys_loop, z0, T, dt,
-                    observers=lyap.trajectory_observers(params) if params else None,
-                    keep_states=config["output.states"])
+    traj = simulate(sys_loop, z0, T, dt, keep_states=config["output.states"])
+    if params:
+        traj.observables.update((name, series(traj)) for name, series
+                                in lyap.trajectory_observers(params).items())
     traj.write_observables_csv(os.path.join(outdir, "trajectory.csv"))
     files.append("trajectory.csv")
     if config["output.states"]:
@@ -343,10 +344,9 @@ def _dissipation_report(traj, params, C, which):
         return report, summary
     if which == "v1":
         alpha = lyap.case1_decrease_coeff(C, params.M, params.eps1, params.eps2,
-                                          params.norm_B, 1.0, params.C0, keep_C0=True)
+                                          params.C0, keep_C0=True)
         alpha_alt = lyap.case1_decrease_coeff(C, params.M, params.eps1, params.eps2,
-                                              params.norm_B, 1.0, params.C0,
-                                              keep_C0=False)
+                                              params.C0, keep_C0=False)
         rho = lyap.case1_iss_gain(params.M, params.eps1, params.eps2,
                                   params.C0, params.k)
         report = lyap.dissipation_report(traj, "V1", alpha, rho)
@@ -359,7 +359,7 @@ def _dissipation_report(traj, params, C, which):
         return report, summary
     alpha = params.C
     report = lyap.dissipation_report(traj, "V2", alpha, 0.0)
-    mu = lyap.case2_decay_rate(params.C, 1.0, params.M_tilde, params.r)
+    mu = lyap.case2_decay_rate(params.C, params.M_tilde, params.r)
     summary = ("which=V2\nalpha=%.17g\nrho=0\nmu=%.17g\nM_tilde=%.17g\nr=%.17g\n"
                "violation_count=%d\nworst_margin=%.17g\n"
                % (alpha, mu, params.M_tilde, params.r,

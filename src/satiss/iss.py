@@ -74,7 +74,6 @@ def gronwall_gap(sys: SaturatedSystem, z0: StateVector, d, T: float, dt: float) 
     """Simulate the disturbed loop and its undisturbed twin from the same z0
     and bound the gap z~ = z^d - z per step."""
     k = sys.feedback_lipschitz
-    norm_B = 1.0
     disturbed, free = simulate([with_disturbance(sys, d),
                                 with_disturbance(sys, zero_disturbance())],
                                [z0, z0], T, dt)
@@ -86,7 +85,7 @@ def gronwall_gap(sys: SaturatedSystem, z0: StateVector, d, T: float, dt: float) 
     n = len(times)
     plain = np.zeros(n)
     convolved = np.zeros(n)
-    a = 1.5 * k * norm_B**2
+    a = 1.5 * k  # 1.5 k ||B||^2 with B the identity
     for i in range(1, n):
         step = times[i] - times[i - 1]
         plain[i] = plain[i - 1] + 0.5 * step * (dsq[i - 1] + dsq[i])

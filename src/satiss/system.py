@@ -31,11 +31,10 @@ from .spaces import Grid, StateVector
 DISSIPATIVITY_TOLERANCE_FACTOR = 1e-8
 
 
-def _band_eigenvalue(lower_diagonals, index: int) -> float:
-    """Eigenvalue number ``index`` (ascending; -1 is the largest) of the
-    symmetric matrix whose main and lower diagonals are ``lower_diagonals``
-    (main first), by banded LAPACK on its narrowest lower band form: the
-    trailing all-zero diagonals are dropped."""
+def _band_eigenvalue(lower_diagonals) -> float:
+    """Largest eigenvalue of the symmetric matrix whose main and lower
+    diagonals are ``lower_diagonals`` (main first), by banded LAPACK on its
+    narrowest lower band form: the trailing all-zero diagonals are dropped."""
     n = len(lower_diagonals[0])
     width = len(lower_diagonals)
     while width > 1 and not np.any(lower_diagonals[width - 1]):
@@ -43,8 +42,8 @@ def _band_eigenvalue(lower_diagonals, index: int) -> float:
     band = np.zeros((width, n))
     for k, diagonal in enumerate(lower_diagonals[:width]):
         band[k, :n - k] = diagonal
-    i = index % n
-    return float(eigvals_banded(band, lower=True, select="i", select_range=(i, i))[0])
+    return float(eigvals_banded(band, lower=True, select="i",
+                                select_range=(n - 1, n - 1))[0])
 
 
 class LinearOperator:
@@ -53,11 +52,11 @@ class LinearOperator:
     The band, the diagonals at offsets -p..p with p the bandwidth, is the
     operator's data: ``bandwidth``, ``csc`` and the spectral values read
     it.  ``from_band`` takes the diagonals as they are.  A dense matrix (a
-    test fixture, a weight P) is kept as it is, and its band is found by
-    one scan; a general dense matrix is a band of full width and takes the
-    same route.  The dense ``matrix`` of an operator built from its band is
-    filled once, on first read.  Spectral values are computed on first use.
-    Operators are immutable.
+    test fixture) is kept as it is, and its band is found by one scan; a
+    general dense matrix is a band of full width and takes the same route.
+    The dense ``matrix`` of an operator built from its band is filled once,
+    on first read.  Spectral values are computed on first use.  Operators
+    are immutable.
     """
 
     def __init__(self, grid: Grid, matrix):
@@ -133,18 +132,13 @@ class LinearOperator:
         out.eliminate_zeros()  # zeros inside the band are not stored, as in csc_matrix(m)
         return out
 
-    def symmetric_eigenvalue(self, index: int) -> float:
-        """Eigenvalue number ``index`` (ascending; -1 is the largest) of the
-        symmetric part (A + A^T) / 2."""
-        band, p = self.band, self.bandwidth
-        return _band_eigenvalue([0.5 * band[p - k] + 0.5 * band[p + k]
-                                 for k in range(p + 1)], index)
-
     @cached_property
     def max_symmetric_eigenvalue(self) -> float:
-        """lambda_max of the symmetric part: the value the dissipativity gate
-        and the decay constant read."""
-        return self.symmetric_eigenvalue(-1)
+        """lambda_max of the symmetric part (A + A^T) / 2: the value the
+        dissipativity gate and the decay constant read."""
+        band, p = self.band, self.bandwidth
+        return _band_eigenvalue([0.5 * band[p - k] + 0.5 * band[p + k]
+                                 for k in range(p + 1)])
 
     @cached_property
     def spectral_norm(self) -> float:
@@ -158,13 +152,8 @@ class LinearOperator:
         scaled = self.csc / s
         gram = (scaled.T @ scaled).tocsr()
         width = min(2 * self.bandwidth, self.grid.n_interior - 1)
-        lam = _band_eigenvalue([gram.diagonal(-k) for k in range(width + 1)], -1)
+        lam = _band_eigenvalue([gram.diagonal(-k) for k in range(width + 1)])
         return s * math.sqrt(lam)
-
-    def apply(self, z: StateVector) -> StateVector:
-        if z.grid != self.grid:
-            raise GridMismatchError("operator and state live on different grids")
-        return StateVector(self.grid, self.matrix @ z.values)
 
 
 def dissipativity_tolerance(op: LinearOperator) -> float:
@@ -217,9 +206,10 @@ def build_kdv_operator(grid: Grid) -> LinearOperator:
     # the sub-diagonal adds the upwind weight c1 to the dispersion weight
     # -2 c3, 1 / h^2 times larger: for h below about 1e-5 rounding moves c1
     # by more than 1e-6 of itself, and below about 1e-8 drops it altogether,
-    # so that A is no longer the upwind discretisation
+    # so that A is no longer the upwind discretisation.  Where 2 c3
+    # overflows, sub is -inf and the difference is NaN, which fails the check
     sub = c1 - 2.0 * c3
-    if abs((sub + 2.0 * c3) - c1) > 1e-6 * c1:
+    if not abs((sub + 2.0 * c3) - c1) <= 1e-6 * c1:
         raise ParameterError("grid spacing h = %g is too fine: c1 - 2 c3 = 1/h - 1/h^3 "
                              "no longer carries the upwind term 1/h" % h)
     main = np.full(n, -c1)
@@ -467,17 +457,15 @@ def _sums_of_squares(blocks, out):
         np.vecdot(block, block, axis=0, out=out[k])
 
 
-def simulate(sys, z0, T: float, dt: float, observers: dict = None,
-             keep_states: bool = True):
+def simulate(sys, z0, T: float, dt: float, keep_states: bool = True):
     """Integrate the closed loop over [0, T] and record observables per step.
 
     ``sys`` and ``z0`` are one system and one initial state, giving one
     Trajectory, or equal-length lists of them, giving one Trajectory per
     member; the listed systems must share ``A`` and ``sigma`` and may differ
-    in ``d``.  All members advance together as one block.  ``observers`` may
-    supply callables ``{"V": f, "V1": g, "V2": h}`` mapping a StateVector to
-    a float, applied to every member; without them V defaults to ||z||^2
-    (identity weight) and V1, V2 are recorded as NaN.  With
+    in ``d``.  All members advance together as one block.  V is recorded as
+    ||z||^2; V1 and V2 are recorded as NaN, to be filled from the recorded
+    norms by the functions of ``lyapunov.trajectory_observers``.  With
     ``keep_states=False`` the state history is not stored and
     ``Trajectory.states`` is None.  A non-finite recorded state or norm
     raises SimulationDiverged.
@@ -499,8 +487,6 @@ def simulate(sys, z0, T: float, dt: float, observers: dict = None,
     if any(z0_j.grid != grid for z0_j in z0s):
         raise GridMismatchError("initial state and system live on different grids")
     h = grid.spacing_h
-    observers = observers or {}
-    custom = [(c, observers[c]) for c in ("V", "V1", "V2") if c in observers]
 
     n_steps = max(1, int(math.ceil(T / dt - 1e-9)))
     last_dt = T - (n_steps - 1) * dt
@@ -515,7 +501,6 @@ def simulate(sys, z0, T: float, dt: float, observers: dict = None,
     # u = sigma(B* z + d) and d, all read from the step's own products
     linf = np.empty((m, n_steps + 1))
     squares = np.empty((4, m, n_steps + 1))
-    custom_obs = {c: np.empty((m, n_steps + 1)) for c, _ in custom}
 
     z = np.array([z0_j.values for z0_j in z0s]).T  # column-major (n, m) block
     t = 0.0
@@ -528,11 +513,6 @@ def simulate(sys, z0, T: float, dt: float, observers: dict = None,
         if keep_states:
             states[:, i] = z.T
         _sums_of_squares((z, az, u, d), squares[:, :, i])
-        if custom:
-            for j in range(m):
-                zj = StateVector(grid, z[:, j])
-                for c, f in custom:
-                    custom_obs[c][j, i] = f(zj)
         if i < n_steps - 1:
             z = stepper.advance(z, t, az, u)
             t = (i + 1) * dt
@@ -560,7 +540,6 @@ def simulate(sys, z0, T: float, dt: float, observers: dict = None,
            "V": nrm2, "V1": np.full((m, n_steps + 1), math.nan),
            "V2": np.full((m, n_steps + 1), math.nan),
            "norm_u": norm_u, "norm_d": norm_d}
-    obs.update(custom_obs)
     trajectories = [
         Trajectory(grid=grid, times=times,
                    states=states[j] if keep_states else None,

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import warnings
 
@@ -158,6 +159,15 @@ def test_cli_grid_extremes_exit_typed(tmp_path, capsys, length, code, message):
     assert message in capsys.readouterr().err
 
 
+def test_cli_overflowing_dispersion_weight_is_config_error(tmp_path, capsys):
+    # h = 1.6e-103: 1 / (2 h^3) is finite and twice it is not
+    body = MINIMAL.format(out=tmp_path / "overflow_weight_out").replace(
+        "domain.L = 6.283185307179586", "domain.L = 2.05e-101").replace(
+        "domain.n_interior = 31", "domain.n_interior = 127")
+    assert main(["run", str(write_config(tmp_path, body))]) == 2
+    assert capsys.readouterr().err.startswith("config error: grid spacing h = ")
+
+
 def test_cli_overflowing_graph_norm_is_divergence(tmp_path, capsys):
     # ||z||^2 is finite for this rough state, ||A z||^2 is not; the overflow
     # is reported once, as the typed line, and raises no numpy warning
@@ -283,6 +293,19 @@ _DISSIPATION_SUMMARIES = {
 }
 
 
+# sha256 of trajectory.csv and dissipation_<which>.csv of the same runs, as
+# written when V1 and V2 were evaluated per state during the integration:
+# the series computed from the recorded norms reproduce them byte for byte
+_DISSIPATION_DIGESTS = {
+    "v": ("dbb21a728b649f458395092f5374f67fc4cf0cff1c35d2b3d3a5be2091c41c3e",
+          "d542b43612db1d6e49a9e2c801c1317d2bf6d7f117d6f4471dbe3933a202459f"),
+    "v1": ("04f9ef4bf89f5d2dcf41457690b7b305416c46e7910dc5b346b858108ae9d565",
+           "f22a6685c6aa67f3b47058f1e5fd25c56cd116798c0d70eaf2a07ecf42b005e2"),
+    "v2": ("486c7b18ac497b34b2f2516906ccb9f6f488f7f5859a5896a319945df9d75f7e",
+           "b206dff0b6d14186b1ec8a58e7c2871ca059917a9b60d44a0be27c62e5eccf4f"),
+}
+
+
 @pytest.mark.parametrize("which", sorted(_DISSIPATION_SUMMARIES))
 def test_dissipation_summaries_golden(tmp_path, which):
     body = """
@@ -308,3 +331,6 @@ output_dir = {out}
             assert int(got[key]) == value
         else:
             assert float(got[key]) == pytest.approx(value, rel=1e-12, abs=0.0)
+    digests = tuple(hashlib.sha256((tmp_path / which / name).read_bytes()).hexdigest()
+                    for name in ("trajectory.csv", "dissipation_%s.csv" % which))
+    assert digests == _DISSIPATION_DIGESTS[which]

@@ -9,7 +9,7 @@ from satiss import Grid, InfeasibleParameters, LyapunovParams, ParameterError, \
     dissipation_report, estimate_embedding_constant, hilbert_norm_map, \
     measure_decay_constant, norm_graph, norm_l2, norm_linf, \
     select_param_case2, select_params_case1, simulate, trajectory_observers, \
-    v1, v2, v_quadratic, zero_disturbance
+    zero_disturbance
 from satiss.system import LinearOperator, Trajectory
 
 from conftest import L, random_states
@@ -20,70 +20,53 @@ def unit_norm_state(grid):
     return StateVector(grid, np.full(n, 1.0 / math.sqrt(h * n)))
 
 
-def test_v_quadratic_examples(grid127):
-    zero = StateVector(grid127, np.zeros(127))
-    assert v_quadratic(None, zero) == 0.0
-    z = unit_norm_state(grid127)
-    assert v_quadratic(None, z) == pytest.approx(norm_l2(z) ** 2, rel=1e-12)
-    double = LinearOperator(grid127, 2.0 * np.eye(127))
-    assert v_quadratic(double, z) == pytest.approx(2.0 * norm_l2(z) ** 2, rel=1e-12)
+def series(params, which, states):
+    """The ``which`` series of ``params`` over a trajectory through ``states``."""
+    grid = states[0].grid
+    rows = np.array([z.values for z in states])
+    traj = synthetic_trajectory(grid, np.arange(len(rows), dtype=float), rows,
+                                np.zeros(len(rows)))
+    return trajectory_observers(params)[which](traj)
 
 
 def test_v1_arithmetic(grid127):
-    params = LyapunovParams(M=3.0)
     zero = StateVector(grid127, np.zeros(127))
-    assert v1(params, zero) == 0.0
-    z = unit_norm_state(grid127)
-    assert v1(params, z) == pytest.approx(3.0, rel=1e-12)
-    with pytest.raises(ParameterError):
-        v1(LyapunovParams(), z)
+    values = series(LyapunovParams(M=3.0), "V1", [zero, unit_norm_state(grid127)])
+    assert values[0] == 0.0
+    assert values[1] == pytest.approx(3.0, rel=1e-12)
+    assert trajectory_observers(LyapunovParams()) == {}
 
 
 def test_v1_coercive_and_radially_unbounded(grid127):
     params = LyapunovParams(M=2.0)
-    for z in random_states(grid127, 1000, seed=10):
-        assert v1(params, z) >= norm_l2(z) ** 2 * (1.0 - 1e-12)
+    states = random_states(grid127, 1000, seed=10)
+    nsq = np.array([norm_l2(z) ** 2 for z in states])
+    assert np.all(series(params, "V1", states) >= nsq * (1.0 - 1e-12))
     z = unit_norm_state(grid127)
-    values = [v1(params, StateVector(grid127, t * z.values)) for t in (10, 100, 1000)]
+    values = series(params, "V1", [StateVector(grid127, t * z.values)
+                                   for t in (10, 100, 1000)])
     assert values[0] < values[1] < values[2]
 
 
 def test_v2_arithmetic_and_sandwich(grid127):
-    params = LyapunovParams(M_tilde=3.0, r=2.0)
     zero = StateVector(grid127, np.zeros(127))
-    assert v2(params, zero) == 0.0
-    z = unit_norm_state(grid127)
-    assert v2(params, z) == pytest.approx(7.0, rel=1e-12)
-    with pytest.raises(ParameterError):
-        v2(LyapunovParams(M_tilde=1.0), z)
+    values = series(LyapunovParams(M_tilde=3.0, r=2.0), "V2",
+                    [zero, unit_norm_state(grid127)])
+    assert values[0] == 0.0
+    assert values[1] == pytest.approx(7.0, rel=1e-12)
+    assert "V2" not in trajectory_observers(LyapunovParams(M_tilde=1.0))
 
-    # sandwich with a non-identity diagonal weight
-    diag = 1.0 + 0.5 * np.sin(Grid(L, 127).interior_nodes())
-    P = LinearOperator(grid127, np.diag(diag))
-    norm_P = float(np.max(diag))
-    params = LyapunovParams(P=P, M_tilde=1.7, r=0.8)
-    lo, hi = 1.7 * 0.8, norm_P + 1.7 * 0.8
-    for z in random_states(grid127, 1000, seed=11):
-        val = v2(params, z)
-        nsq = norm_l2(z) ** 2
-        assert lo * nsq * (1.0 - 1e-12) <= val <= hi * nsq * (1.0 + 1e-12)
+    # with the identity weight V2 = (1 + M~ r) ||z||^2
+    states = random_states(grid127, 1000, seed=11)
+    nsq = np.array([norm_l2(z) ** 2 for z in states])
+    np.testing.assert_allclose(series(LyapunovParams(M_tilde=1.7, r=0.8), "V2", states),
+                               (1.0 + 1.7 * 0.8) * nsq, rtol=1e-12)
 
 
 def test_v1_v2_positive_definite(grid127):
-    p1 = LyapunovParams(M=1.0)
-    p2 = LyapunovParams(M_tilde=1.0, r=1.0)
-    for z in random_states(grid127, 200, seed=12):
-        assert v1(p1, z) > 0.0
-        assert v2(p2, z) > 0.0
-
-
-def test_weight_operator_validation(grid127):
-    bad = np.eye(127)
-    bad[0, 1] = 1.0  # not symmetric
-    with pytest.raises(ParameterError):
-        LyapunovParams(P=LinearOperator(grid127, bad))
-    with pytest.raises(ParameterError):
-        LyapunovParams(P=LinearOperator(grid127, -np.eye(127)))
+    states = random_states(grid127, 200, seed=12)
+    assert np.all(series(LyapunovParams(M=1.0), "V1", states) > 0.0)
+    assert np.all(series(LyapunovParams(M_tilde=1.0, r=1.0), "V2", states) > 0.0)
 
 
 def test_measure_decay_constant(grid127, kdv127, decay_C):
@@ -94,7 +77,7 @@ def test_measure_decay_constant(grid127, kdv127, decay_C):
 
 
 def test_select_params_case1_kdv_instance(decay_C):
-    M, eps1, eps2 = select_params_case1(decay_C, 1.0, 1.0, C0=3.0, k=3.0, safety=0.5)
+    M, eps1, eps2 = select_params_case1(decay_C, C0=3.0, k=3.0, safety=0.5)
     assert M == 2.0
     # both constraint terms equal C/4 by construction at safety 1/2
     assert 2.0 * M * 3.0 / eps2 == pytest.approx(decay_C / 4.0, rel=1e-12)
@@ -102,26 +85,26 @@ def test_select_params_case1_kdv_instance(decay_C):
     # admissibility holds on the output
     assert M >= 2.0
     assert 2.0 * M * 3.0 / eps2 + 1.0 / eps1 <= decay_C * (1.0 + 1e-12)
-    alpha = case1_decrease_coeff(decay_C, M, eps1, eps2, 1.0, 1.0, 3.0)
+    alpha = case1_decrease_coeff(decay_C, M, eps1, eps2, 3.0)
     assert alpha == pytest.approx(0.5 * decay_C, rel=1e-12)
     assert case1_iss_gain(M, eps1, eps2, 3.0, 3.0) > 0.0
 
 
 def test_select_params_case1_rejects_bad_inputs():
     with pytest.raises(InfeasibleParameters):
-        select_params_case1(0.0, 1.0, 1.0, 1.0, 1.0)
+        select_params_case1(0.0, 1.0, 1.0)
     with pytest.raises(InfeasibleParameters):
-        select_params_case1(-2.0, 1.0, 1.0, 1.0, 1.0)
+        select_params_case1(-2.0, 1.0, 1.0)
     with pytest.raises(ParameterError):
-        select_params_case1(2.0, 1.0, 1.0, 1.0, 1.0, safety=1.0)
+        select_params_case1(2.0, 1.0, 1.0, safety=1.0)
 
 
 def test_select_param_case2():
-    assert select_param_case2(1.0, 1.0, 1.1) == pytest.approx(2.2, rel=1e-12)
+    assert select_param_case2(1.0, 1.1) == pytest.approx(2.2, rel=1e-12)
     with pytest.raises(ParameterError):
-        select_param_case2(1.0, 1.0, 1.0)
+        select_param_case2(1.0, 1.0)
     # decay rate shrinks as the data radius grows
-    rates = [case2_decay_rate(2.0, 1.0, 2.2, r) for r in (0.5, 1.0, 2.0, 4.0)]
+    rates = [case2_decay_rate(2.0, 2.2, r) for r in (0.5, 1.0, 2.0, 4.0)]
     assert all(a > b for a, b in zip(rates, rates[1:]))
 
 
@@ -187,7 +170,8 @@ def test_dissipation_report_requires_three_steps(grid127):
 
 
 def test_dissipation_report_needs_the_recorded_series(kdv127, decay_C, z0_cosine):
-    # V1 is read from the run, so a run without the observers cannot report it
+    # V1 is read from the trajectory, so a run whose series were not filled
+    # in cannot report it
     sys_sat = assemble_closed_loop(kdv127, hilbert_norm_map(1.0),
                                    cosine_disturbance(0.05, 1.0))
     traj = simulate(sys_sat, z0_cosine, 0.01, 1e-3)
@@ -196,12 +180,15 @@ def test_dissipation_report_needs_the_recorded_series(kdv127, decay_C, z0_cosine
     with pytest.raises(ParameterError, match="V2 series"):
         dissipation_report(traj, "V2", 1.0, 0.0)
     params = case1_params(decay_C, hilbert_norm_map(1.0))
-    traj = simulate(sys_sat, z0_cosine, 0.01, 1e-3,
-                    observers=trajectory_observers(params))
+    traj.observables.update((name, f(traj)) for name, f
+                            in trajectory_observers(params).items())
     report = dissipation_report(traj, "V1", 1.0, 0.0)
     np.testing.assert_array_equal(report.V, traj.observables["V1"])
-    np.testing.assert_array_equal(report.V, [v1(params, StateVector(z0_cosine.grid, z))
-                                             for z in traj.states])
+    # bit for bit the per-state form <z, z> + (2 M / 3) ||z||^3
+    h = z0_cosine.grid.spacing_h
+    per_state = [h * float(np.dot(z, z)) for z in traj.states]
+    np.testing.assert_array_equal(report.V, [v + (2.0 * params.M / 3.0) * math.sqrt(v) ** 3
+                                             for v in per_state])
 
 
 def test_linear_loop_satisfies_quadratic_decrease(kdv127, z0_cosine):
@@ -218,11 +205,12 @@ def test_case1_report_zero_violations(kdv127, decay_C, z0_cosine):
     params = case1_params(decay_C, sigma)
     assert params.M == 2.0
     alpha = case1_decrease_coeff(decay_C, params.M, params.eps1, params.eps2,
-                                 params.norm_B, 1.0, params.C0)
+                                 params.C0)
     rho = case1_iss_gain(params.M, params.eps1, params.eps2, params.C0, params.k)
     sys_sat = assemble_closed_loop(kdv127, sigma, cosine_disturbance(0.05, 1.0))
-    traj = simulate(sys_sat, z0_cosine, 2.0, 1e-3,
-                    observers=trajectory_observers(params))
+    traj = simulate(sys_sat, z0_cosine, 2.0, 1e-3)
+    traj.observables.update((name, f(traj)) for name, f
+                            in trajectory_observers(params).items())
     report = dissipation_report(traj, "V1", alpha, rho)
     assert report.violation_count == 0
 
@@ -232,9 +220,9 @@ def test_case2_params_and_observers(kdv127, decay_C, grid127):
     params = case2_params(decay_C, c_s, r=2.0, margin=1.1)
     assert params.M_tilde == pytest.approx(2.2 * c_s, rel=1e-12)
     obs = trajectory_observers(params)
-    assert set(obs) == {"V", "V2"}
+    assert set(obs) == {"V2"}
     obs1 = trajectory_observers(case1_params(decay_C, hilbert_norm_map(1.0)))
-    assert set(obs1) == {"V", "V1"}
+    assert set(obs1) == {"V1"}
 
 
 def test_dissipation_report_csv(tmp_path, grid127):
