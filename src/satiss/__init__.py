@@ -11,12 +11,11 @@ from .saturation import AxiomReport, SaturationKind, SaturationMap, \
     pointwise_linf_map
 from .system import DisturbanceSignal, LinearOperator, SaturatedSystem, \
     Trajectory, assemble_closed_loop, build_kdv_operator, cosine_disturbance, \
-    custom_disturbance, linear_loop_operator, simulate, step, table_disturbance, \
+    custom_disturbance, linear_loop_operator, simulate, table_disturbance, \
     with_disturbance, zero_disturbance
-from .lyapunov import DissipationReport, LyapunovParams, case1_decrease_coeff, \
-    case1_iss_gain, case1_params, case2_decay_rate, case2_params, \
-    dissipation_report, estimate_embedding_constant, measure_decay_constant, \
-    select_param_case2, select_params_case1, trajectory_observers
+from .lyapunov import DissipationReport, LyapunovParams, case1_params, \
+    case2_params, dissipation_report, estimate_embedding_constant, \
+    measure_decay_constant, trajectory_observers
 from .iss import GapReport, IssCertificate, SemiGlobalFit, brs_check, \
     fit_semiglobal, globalize, gronwall_gap, iss_certificate, \
     smooth_initial_data

@@ -159,9 +159,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def _validate(config: ExperimentConfig) -> ExperimentConfig:
     e = config.entries
-    for key in ("domain.L", "time.T", "time.dt", "saturation.level"):
-        if not e[key] > 0:
-            raise ConfigError("field %r must be positive" % key)
+    for key in ("domain.L", "time.T", "time.dt"):
+        if not 0 < e[key] < math.inf:
+            raise ConfigError("field %r must be positive and finite" % key)
+    if not e["saturation.level"] > 0:
+        raise ConfigError("field 'saturation.level' must be positive")
+    if e["rng_seed"] < 0:
+        raise ConfigError("field 'rng_seed' must be non-negative")
     if e["domain.n_interior"] < 5:
         raise ConfigError("field 'domain.n_interior' must be at least 5")
     if e["time.dt"] > e["time.T"]:
@@ -291,7 +295,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None):
 
     which = config["analysis.dissipation"]
     if which != "off":
-        report, summary = _dissipation_report(traj, params, C, which)
+        report, summary = _dissipation_report(traj, params, which)
         name = "dissipation_%s.csv" % which
         report.write_csv(os.path.join(outdir, name))
         files.append(name)
@@ -336,33 +340,27 @@ def _dissipation_params(config, A, sigma, z0, C, grid, seed):
     return lyap.case2_params(C, c_s, r)
 
 
-def _dissipation_report(traj, params, C, which):
+def _dissipation_report(traj, params, which):
     if which == "v":
         report = lyap.dissipation_report(traj, "V", alpha_coeff=1.0, rho_gain=0.0)
         summary = ("which=V\nalpha=1\nrho=0\nviolation_count=%d\nworst_margin=%.17g\n"
                    % (report.violation_count, report.worst_margin))
         return report, summary
     if which == "v1":
-        alpha = lyap.case1_decrease_coeff(C, params.M, params.eps1, params.eps2,
-                                          params.C0, keep_C0=True)
-        alpha_alt = lyap.case1_decrease_coeff(C, params.M, params.eps1, params.eps2,
-                                              params.C0, keep_C0=False)
-        rho = lyap.case1_iss_gain(params.M, params.eps1, params.eps2,
-                                  params.C0, params.k)
-        report = lyap.dissipation_report(traj, "V1", alpha, rho)
-        alt = lyap.dissipation_report(traj, "V1", alpha_alt, rho)
+        report = lyap.dissipation_report(traj, "V1", params.alpha, params.rho)
+        alt = lyap.dissipation_report(traj, "V1", params.alpha_no_C0, params.rho)
         summary = ("which=V1\nalpha=%.17g\nalpha_no_C0=%.17g\nrho=%.17g\n"
                    "violation_count=%d\nworst_margin=%.17g\n"
                    "violation_count_no_C0=%d\nworst_margin_no_C0=%.17g\n"
-                   % (alpha, alpha_alt, rho, report.violation_count,
-                      report.worst_margin, alt.violation_count, alt.worst_margin))
+                   % (params.alpha, params.alpha_no_C0, params.rho,
+                      report.violation_count, report.worst_margin,
+                      alt.violation_count, alt.worst_margin))
         return report, summary
     alpha = params.C
     report = lyap.dissipation_report(traj, "V2", alpha, 0.0)
-    mu = lyap.case2_decay_rate(params.C, params.M_tilde, params.r)
     summary = ("which=V2\nalpha=%.17g\nrho=0\nmu=%.17g\nM_tilde=%.17g\nr=%.17g\n"
                "violation_count=%d\nworst_margin=%.17g\n"
-               % (alpha, mu, params.M_tilde, params.r,
+               % (alpha, params.mu, params.M_tilde, params.r,
                   report.violation_count, report.worst_margin))
     return report, summary
 
@@ -465,6 +463,8 @@ def _cmd_axioms(args):
     kind = _AXIOM_KIND_ALIASES.get(args.kind)
     if kind is None:
         raise ConfigError("unknown saturation kind %r" % args.kind)
+    if args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
     level = args.level
     L = 2.0 * math.pi
     sigma = _saturation_map(kind, level, L)

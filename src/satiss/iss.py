@@ -158,6 +158,8 @@ def fit_semiglobal(sys: SaturatedSystem, r_values, samples_per_r: int,
     r_values = list(r_values)
     if not r_values:
         raise ParameterError("r_values must be nonempty")
+    if samples_per_r < 1:
+        raise ParameterError("samples_per_r must be >= 1, got %d" % samples_per_r)
     if not (sys.d.func is None and sys.d.amplitude == 0.0):
         raise ParameterError("semi-global fitting needs an undisturbed loop")
     grid = sys.A.grid
@@ -167,7 +169,7 @@ def fit_semiglobal(sys: SaturatedSystem, r_values, samples_per_r: int,
             rng = np.random.default_rng((rng_seed, ir, j))
             frac = 1.0 if j == 0 else rng.uniform(0.4, 1.0)
             z0s.append(smooth_initial_data(grid, sys.A, r * frac, rng))
-    trajs = simulate([sys] * len(z0s), z0s, T, dt, keep_states=False) if z0s else []
+    trajs = simulate([sys] * len(z0s), z0s, T, dt, keep_states=False)
     ks, mus, lifts = [], [], []
     ensembles = {}
     for ir, r in enumerate(r_values):

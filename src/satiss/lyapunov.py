@@ -10,7 +10,10 @@ and three functions are closed forms of the norms ``simulate`` records:
   an embedded sup-norm space, for initial data of graph norm at most r.
 
 ``simulate`` records V; the functions of ``trajectory_observers`` give the
-V1 and V2 series of a recorded trajectory.
+V1 and V2 series of a recorded trajectory.  ``case1_params`` and
+``case2_params`` choose the constants of V1 and V2, and the coefficients of
+their decrease inequalities (alpha and rho of V1, the rate mu of V2) are
+read-only properties of the ``LyapunovParams`` they return.
 
 The decrease constant C is always measured from the assembled loop
 generator, never assumed: C = -2 * lambda_max(sym(A - B B*)).  Every
@@ -32,8 +35,10 @@ from .system import LinearOperator, Trajectory, _write_csv, build_kdv_operator
 class LyapunovParams:
     """Constants entering V1, V2 and their decrease inequalities.
 
-    Unused constants may stay None; ``trajectory_observers`` gives only the
-    series whose constants are set.
+    ``case1_params`` fills the V1 constants and ``case2_params`` the V2
+    ones; unused constants stay None, and ``trajectory_observers`` gives
+    only the series whose constants are set.  The coefficients derived from
+    them are read-only properties.
     """
 
     C: float = None
@@ -46,74 +51,35 @@ class LyapunovParams:
     r: float = None
     c_S: float = None
 
+    @property
+    def alpha(self) -> float:
+        """Case-1 decrease coefficient of V1:
+        C - 2 M C0 / eps2 - ||B*||^2 ||P||^2 / eps1 = C - 2 M C0 / eps2 - 1 / eps1."""
+        return self.C - 2.0 * self.M * self.C0 / self.eps2 - 1.0 / self.eps1
+
+    @property
+    def alpha_no_C0(self) -> float:
+        """``alpha`` without the C0 factor in the eps2 term.  Reported next to
+        ``alpha``; only the conservative one (the smaller coefficient for
+        C0 >= 1) is ever asserted."""
+        return self.C - 2.0 * self.M / self.eps2 - 1.0 / self.eps1
+
+    @property
+    def rho(self) -> float:
+        """Case-1 disturbance gain C0 * 2 M * eps2 + k^2 * eps1 paired with
+        ``alpha``."""
+        return self.C0 * 2.0 * self.M * self.eps2 + self.k**2 * self.eps1
+
+    @property
+    def mu(self) -> float:
+        """Case-2 certified rate C / (||P|| + M~ r) = C / (1 + M~ r) of V2."""
+        return self.C / (1.0 + self.M_tilde * self.r)
+
 
 def measure_decay_constant(loop_operator: LinearOperator) -> float:
     """Sharp decrease constant of the quadratic form along the linear loop:
     2 <A~ z, z> <= -C ||z||^2 with C = -2 lambda_max(sym A~)."""
     return -2.0 * loop_operator.max_symmetric_eigenvalue
-
-
-def select_params_case1(C: float, C0: float, k: float, safety: float = 0.5):
-    """Constants (M, eps1, eps2) for the cubic-augmented function.
-
-    M is the minimal admissible value 2 ||B*|| ||P|| = 2; eps1 and eps2
-    split the decrease budget evenly so that
-
-        2 M C0 / eps2 + ||B*||^2 ||P||^2 / eps1 = safety * C,
-
-    leaving a decrease coefficient of at least (1 - safety) * C.
-    """
-    if not C > 0:
-        raise InfeasibleParameters("measured decrease constant C = %g is not positive" % C)
-    if not (C0 > 0 and k > 0):
-        raise ParameterError("C0 and k must be positive")
-    if not 0.0 < safety < 1.0:
-        raise ParameterError("safety must lie in (0, 1)")
-    M = 2.0
-    eps2 = 4.0 * M * C0 / (safety * C)
-    eps1 = 2.0 / (safety * C)
-    # re-check the budget inequality on the way out
-    budget = 2.0 * M * C0 / eps2 + 1.0 / eps1
-    if budget > C * (1.0 + 1e-12):
-        raise InfeasibleParameters("constraint budget %g exceeds C = %g" % (budget, C))
-    return M, eps1, eps2
-
-
-def case1_decrease_coeff(C: float, M: float, eps1: float, eps2: float, C0: float,
-                         keep_C0: bool = True) -> float:
-    """Decrease coefficient C - 2 M C0 / eps2 - ||B*||^2 ||P||^2 / eps1, that
-    is C - 2 M C0 / eps2 - 1 / eps1.
-
-    ``keep_C0=False`` drops the C0 factor from the eps2 term; both variants
-    are reported by the drivers and only the conservative one (the smaller
-    coefficient for C0 >= 1) is ever asserted.
-    """
-    shift = 2.0 * M * C0 / eps2 if keep_C0 else 2.0 * M / eps2
-    return C - shift - 1.0 / eps1
-
-
-def case1_iss_gain(M: float, eps1: float, eps2: float, C0: float, k: float) -> float:
-    """Disturbance gain C0 * 2 M * eps2 + k^2 * eps1 paired with the decrease."""
-    return C0 * 2.0 * M * eps2 + k**2 * eps1
-
-
-def select_param_case2(c_S: float, margin: float) -> float:
-    """Constant M~ = margin * 2 * c_S * ||P|| = margin * 2 * c_S for the
-    quadratic-augmented function; ``margin`` must exceed 1 to keep the
-    inequality strict."""
-    if not c_S > 0:
-        raise ParameterError("c_S must be positive")
-    if not margin > 1.0:
-        raise ParameterError("margin must be > 1 to satisfy the strict bound")
-    return margin * 2.0 * c_S
-
-
-def case2_decay_rate(C: float, M_tilde: float, r: float) -> float:
-    """Certified rate mu = C / (||P|| + M~ r) = C / (1 + M~ r) of the
-    quadratic-augmented function."""
-    if not (C > 0 and M_tilde > 0 and r > 0):
-        raise ParameterError("all constants must be positive")
-    return C / (1.0 + M_tilde * r)
 
 
 def estimate_embedding_constant(grid: Grid, n_samples: int = 400,
@@ -142,28 +108,46 @@ def estimate_embedding_constant(grid: Grid, n_samples: int = 400,
 
 
 def case1_params(C: float, sigma, safety: float = 0.5) -> LyapunovParams:
-    """Bundle measured C with a saturation map's constants into filled params.
+    """Case-1 constants from the measured C and a saturation map's C0 and k.
 
-    Raises ``ParameterError`` naming the first of M, eps1, eps2, the decrease
-    coefficient alpha and the gain rho that is not a finite double: a huge
-    saturation level can overflow them, and a report built on them would
-    certify nothing.
+    M is the minimal admissible value 2 ||B*|| ||P|| = 2; eps1 and eps2
+    split the decrease budget evenly so that
+
+        2 M C0 / eps2 + ||B*||^2 ||P||^2 / eps1 = safety * C,
+
+    leaving a decrease coefficient ``alpha`` of (1 - safety) * C.  Raises
+    ``InfeasibleParameters`` when C is not positive, and ``ParameterError``
+    for a safety outside (0, 1) or naming the first of M, eps1, eps2, alpha
+    and rho that is not a finite double: a huge saturation level can
+    overflow them, and a report built on them would certify nothing.
     """
+    if not C > 0:
+        raise InfeasibleParameters("measured decrease constant C = %g is not positive" % C)
+    if not 0.0 < safety < 1.0:
+        raise ParameterError("safety must lie in (0, 1)")
     C0, k = sigma.item5_C0, sigma.lipschitz_k
-    M, eps1, eps2 = select_params_case1(C, C0, k, safety)
-    constants = (("M", M), ("eps1", eps1), ("eps2", eps2),
-                 ("alpha", case1_decrease_coeff(C, M, eps1, eps2, C0)),
-                 ("rho", case1_iss_gain(M, eps1, eps2, C0, k)))
-    for name, value in constants:
+    M = 2.0
+    params = LyapunovParams(C=C, k=k, C0=C0, M=M, eps1=2.0 / (safety * C),
+                            eps2=4.0 * M * C0 / (safety * C))
+    for name in ("M", "eps1", "eps2", "alpha", "rho"):
+        value = getattr(params, name)
         if not math.isfinite(value):
             raise ParameterError("case-1 constant %s = %r is not finite (saturation "
                                  "C0 = %g, k = %g)" % (name, value, C0, k))
-    return LyapunovParams(C=C, k=k, C0=C0, M=M, eps1=eps1, eps2=eps2)
+    return params
 
 
-def case2_params(C: float, c_S: float, r: float, margin: float = 1.1) -> LyapunovParams:
-    M_tilde = select_param_case2(c_S, margin)
-    return LyapunovParams(C=C, M_tilde=M_tilde, r=r, c_S=c_S)
+#: M~ = CASE2_MARGIN * 2 c_S ||P||; a margin above 1 keeps the case-2
+#: inequality M~ > 2 c_S ||P|| strict
+CASE2_MARGIN = 1.1
+
+
+def case2_params(C: float, c_S: float, r: float) -> LyapunovParams:
+    """Case-2 constants for initial data of graph norm at most r, with
+    M~ = CASE2_MARGIN * 2 * c_S from the embedding constant c_S."""
+    if not (C > 0 and c_S > 0 and r > 0):
+        raise ParameterError("C, c_S and r must be positive")
+    return LyapunovParams(C=C, M_tilde=CASE2_MARGIN * 2.0 * c_S, r=r, c_S=c_S)
 
 
 def _augmented_series(traj: Trajectory, coeff: float, power: int) -> np.ndarray:

@@ -395,16 +395,6 @@ class _ImexStepper:
         return self._solve(z + 0.5 * dt * az - dt * um)
 
 
-def step(sys: SaturatedSystem, z: StateVector, t: float, dt: float) -> StateVector:
-    """Advance one IMEX step from (z, t) to t + dt."""
-    if z.grid != sys.A.grid:
-        raise GridMismatchError("state and system live on different grids")
-    stepper = _ImexStepper([sys], dt)
-    block = z.values[:, None]
-    az, u, _ = stepper.products(block, t)
-    return StateVector(z.grid, stepper.advance(block, t, az, u)[:, 0])
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time series of states with per-step norm and Lyapunov observables."""
@@ -476,8 +466,8 @@ def simulate(sys, z0, T: float, dt: float, keep_states: bool = True):
     if not systems or len(systems) != len(z0s):
         raise ParameterError("systems and initial states must be nonempty lists "
                              "of equal length")
-    if not T > 0:
-        raise ParameterError("horizon T must be positive")
+    if not 0 < T < math.inf:
+        raise ParameterError("horizon T must be positive and finite, got %r" % (T,))
     if not 0 < dt <= T:
         raise ParameterError("dt must lie in (0, T]")
     sys0 = systems[0]

@@ -11,12 +11,11 @@ import pytest
 import sympy
 
 from satiss import Grid, StateVector, assemble_closed_loop, brs_check, \
-    build_kdv_operator, case1_decrease_coeff, case1_iss_gain, case1_params, \
-    case2_decay_rate, case2_params, check_axioms, cosine_disturbance, \
-    dissipation_report, estimate_embedding_constant, fit_semiglobal, globalize, \
-    gronwall_gap, hilbert_norm_map, iss_certificate, norm_l2, \
-    pointwise_linf_map, simulate, smooth_initial_data, trajectory_observers, \
-    zero_disturbance
+    build_kdv_operator, case1_params, case2_params, check_axioms, \
+    cosine_disturbance, dissipation_report, estimate_embedding_constant, \
+    fit_semiglobal, globalize, gronwall_gap, hilbert_norm_map, iss_certificate, \
+    norm_l2, pointwise_linf_map, simulate, smooth_initial_data, \
+    trajectory_observers, zero_disturbance
 from satiss.cli import reproduce_figure1
 from satiss.system import dissipativity_tolerance
 
@@ -96,20 +95,15 @@ def test_criterion_4_case1_decrease(kdv127, decay_C, z0_cosine):
     sigma = hilbert_norm_map(1.0)
     params = case1_params(decay_C, sigma, safety=0.5)
     assert params.M == 2.0
-    alpha = case1_decrease_coeff(decay_C, params.M, params.eps1, params.eps2,
-                                 params.C0, keep_C0=True)
-    alpha_alt = case1_decrease_coeff(decay_C, params.M, params.eps1, params.eps2,
-                                     params.C0, keep_C0=False)
-    rho = case1_iss_gain(params.M, params.eps1, params.eps2, params.C0, params.k)
-    assert alpha > 0.0
+    assert params.alpha > 0.0
 
     sys_sat = assemble_closed_loop(kdv127, sigma, cosine_disturbance(0.05, 1.0))
     traj = simulate(sys_sat, z0_cosine, 9.0, 1e-3)
     traj.observables.update((name, series(traj)) for name, series
                             in trajectory_observers(params).items())
-    rep = dissipation_report(traj, "V1", alpha, rho)
+    rep = dissipation_report(traj, "V1", params.alpha, params.rho)
     assert rep.violation_count == 0
-    rep_alt = dissipation_report(traj, "V1", alpha_alt, rho)
+    rep_alt = dissipation_report(traj, "V1", params.alpha_no_C0, params.rho)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report(4, "case-1 decrease of the cubic-augmented function", elapsed, 10,
@@ -124,8 +118,7 @@ def test_criterion_5_case2_semiglobal_decay(kdv127, decay_C, grid127):
     sys_sat = assemble_closed_loop(kdv127, sigma, zero_disturbance())
     worst_ratio = 0.0
     for ir, r in enumerate((0.5, 1.0, 2.0, 4.0)):
-        params = case2_params(decay_C, c_s, r, margin=1.1)
-        mu = case2_decay_rate(decay_C, params.M_tilde, r)
+        params = case2_params(decay_C, c_s, r)
         for j in range(5):
             rng = np.random.default_rng((2024, ir, j))
             target = r if j == 0 else r * rng.uniform(0.4, 1.0)
@@ -135,7 +128,7 @@ def test_criterion_5_case2_semiglobal_decay(kdv127, decay_C, grid127):
             # decays along the trajectory
             assert np.max(np.diff(v2s)) <= 1e-9 * (1.0 + v2s[0])
             # certified envelope honored with 1e-4 slack
-            ratio = float(np.max(v2s / (np.exp(-mu * traj.times) * v2s[0])))
+            ratio = float(np.max(v2s / (np.exp(-params.mu * traj.times) * v2s[0])))
             worst_ratio = max(worst_ratio, ratio)
             assert ratio <= 1.0 + 1e-4
     elapsed = time.perf_counter() - start

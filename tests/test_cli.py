@@ -195,6 +195,32 @@ def test_cli_v1_constants_must_be_finite(tmp_path, capsys, level, message):
     assert not (tmp_path / "v1_out" / "dissipation_v1_summary.txt").exists()
 
 
+@pytest.mark.parametrize("horizon, extra, message", [
+    ("inf", "", "field 'time.T' must be positive and finite"),
+    ("0.001", "rng_seed = -1\ninitial.family = smooth_random\n",
+     "field 'rng_seed' must be non-negative"),
+    ("0.001", "rng_seed = -1\nanalysis.certificate = true\ncertificate.members = 1\n",
+     "field 'rng_seed' must be non-negative"),
+    ("0.001", "analysis.semiglobal_r = 1.0\nanalysis.semiglobal_samples = 0\n",
+     "samples_per_r must be >= 1"),
+], ids=["infinite_horizon", "negative_seed_initial", "negative_seed_certificate",
+        "semiglobal_without_samples"])
+def test_cli_unusable_input_is_config_error(tmp_path, capsys, horizon, extra, message):
+    # neither a traceback from math.ceil or default_rng nor a report of NaN
+    body = MINIMAL.format(out=tmp_path / "bad_out").replace(
+        "time.T = 0.001", "time.T = " + horizon) + extra
+    assert main(["run", str(write_config(tmp_path, body))]) == 2
+    assert "config error: " + message in capsys.readouterr().err
+    assert not (tmp_path / "bad_out" / "semiglobal.txt").exists()
+
+
+def test_cli_axioms_negative_seed_is_config_error(capsys):
+    assert main(["axioms", "hilbert", "1.0", "--samples", "3", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: --seed must be non-negative\n"
+    assert captured.out == ""
+
+
 def test_cli_axioms_verb(capsys):
     assert main(["axioms", "pointwise", "1.0", "--samples", "200"]) == 0
     out = capsys.readouterr().out
@@ -293,16 +319,21 @@ _DISSIPATION_SUMMARIES = {
 }
 
 
-# sha256 of trajectory.csv and dissipation_<which>.csv of the same runs, as
-# written when V1 and V2 were evaluated per state during the integration:
-# the series computed from the recorded norms reproduce them byte for byte
+# sha256 of trajectory.csv, dissipation_<which>.csv and
+# dissipation_<which>_summary.txt of the same runs, as written when V1 and
+# V2 were evaluated per state during the integration and the coefficients
+# by free functions: the series computed from the recorded norms and the
+# coefficients read from LyapunovParams reproduce them byte for byte
 _DISSIPATION_DIGESTS = {
     "v": ("dbb21a728b649f458395092f5374f67fc4cf0cff1c35d2b3d3a5be2091c41c3e",
-          "d542b43612db1d6e49a9e2c801c1317d2bf6d7f117d6f4471dbe3933a202459f"),
+          "d542b43612db1d6e49a9e2c801c1317d2bf6d7f117d6f4471dbe3933a202459f",
+          "3008ff6b68b86ac563d3d72d6ea54643b9c5b3f202e1682294aff5a654bf7843"),
     "v1": ("04f9ef4bf89f5d2dcf41457690b7b305416c46e7910dc5b346b858108ae9d565",
-           "f22a6685c6aa67f3b47058f1e5fd25c56cd116798c0d70eaf2a07ecf42b005e2"),
+           "f22a6685c6aa67f3b47058f1e5fd25c56cd116798c0d70eaf2a07ecf42b005e2",
+           "7f21901b88349d6645afcf31f3b21546c77757ee5f5e422395ea032287a354aa"),
     "v2": ("486c7b18ac497b34b2f2516906ccb9f6f488f7f5859a5896a319945df9d75f7e",
-           "b206dff0b6d14186b1ec8a58e7c2871ca059917a9b60d44a0be27c62e5eccf4f"),
+           "b206dff0b6d14186b1ec8a58e7c2871ca059917a9b60d44a0be27c62e5eccf4f",
+           "e645cb6cbd3735de0f43c075fd1cc3c6002e527f4da58bba1cd96da7bc41d38e"),
 }
 
 
@@ -332,5 +363,6 @@ output_dir = {out}
         else:
             assert float(got[key]) == pytest.approx(value, rel=1e-12, abs=0.0)
     digests = tuple(hashlib.sha256((tmp_path / which / name).read_bytes()).hexdigest()
-                    for name in ("trajectory.csv", "dissipation_%s.csv" % which))
+                    for name in ("trajectory.csv", "dissipation_%s.csv" % which,
+                                 "dissipation_%s_summary.txt" % which))
     assert digests == _DISSIPATION_DIGESTS[which]

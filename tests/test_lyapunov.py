@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from satiss import Grid, InfeasibleParameters, LyapunovParams, ParameterError, \
-    StateVector, assemble_closed_loop, case1_decrease_coeff, case1_iss_gain, \
-    case1_params, case2_decay_rate, case2_params, cosine_disturbance, \
-    dissipation_report, estimate_embedding_constant, hilbert_norm_map, \
-    measure_decay_constant, norm_graph, norm_l2, norm_linf, \
-    select_param_case2, select_params_case1, simulate, trajectory_observers, \
-    zero_disturbance
+    StateVector, assemble_closed_loop, case1_params, case2_params, \
+    cosine_disturbance, dissipation_report, estimate_embedding_constant, \
+    hilbert_norm_map, measure_decay_constant, norm_graph, norm_l2, norm_linf, \
+    simulate, trajectory_observers, zero_disturbance
 from satiss.system import LinearOperator, Trajectory
 
 from conftest import L, random_states
@@ -76,35 +74,42 @@ def test_measure_decay_constant(grid127, kdv127, decay_C):
     assert 1.9 <= decay_C <= 2.2
 
 
-def test_select_params_case1_kdv_instance(decay_C):
-    M, eps1, eps2 = select_params_case1(decay_C, C0=3.0, k=3.0, safety=0.5)
-    assert M == 2.0
+def test_case1_params_kdv_instance(decay_C):
+    # the Hilbert retraction at level 1 has C0 = k = 3
+    params = case1_params(decay_C, hilbert_norm_map(1.0), safety=0.5)
+    M, eps1, eps2 = params.M, params.eps1, params.eps2
+    assert (M, params.C0, params.k) == (2.0, 3.0, 3.0)
     # both constraint terms equal C/4 by construction at safety 1/2
     assert 2.0 * M * 3.0 / eps2 == pytest.approx(decay_C / 4.0, rel=1e-12)
     assert 1.0 / eps1 == pytest.approx(decay_C / 4.0, rel=1e-12)
-    # admissibility holds on the output
-    assert M >= 2.0
-    assert 2.0 * M * 3.0 / eps2 + 1.0 / eps1 <= decay_C * (1.0 + 1e-12)
-    alpha = case1_decrease_coeff(decay_C, M, eps1, eps2, 3.0)
-    assert alpha == pytest.approx(0.5 * decay_C, rel=1e-12)
-    assert case1_iss_gain(M, eps1, eps2, 3.0, 3.0) > 0.0
+    assert params.alpha == pytest.approx(0.5 * decay_C, rel=1e-12)
+    # the no-C0 variant drops the factor C0 = 3 from the eps2 term
+    assert params.alpha_no_C0 == pytest.approx(decay_C - decay_C / 12.0 - decay_C / 4.0,
+                                               rel=1e-12)
+    assert params.rho == pytest.approx(3.0 * 2.0 * M * eps2 + 9.0 * eps1, rel=1e-12)
+    assert params.rho > 0.0
 
 
-def test_select_params_case1_rejects_bad_inputs():
+def test_case1_params_rejects_bad_inputs():
+    sigma = hilbert_norm_map(1.0)
     with pytest.raises(InfeasibleParameters):
-        select_params_case1(0.0, 1.0, 1.0)
+        case1_params(0.0, sigma)
     with pytest.raises(InfeasibleParameters):
-        select_params_case1(-2.0, 1.0, 1.0)
-    with pytest.raises(ParameterError):
-        select_params_case1(2.0, 1.0, 1.0, safety=1.0)
+        case1_params(-2.0, sigma)
+    for safety in (0.0, 1.0):
+        with pytest.raises(ParameterError, match="safety"):
+            case1_params(2.0, sigma, safety=safety)
 
 
-def test_select_param_case2():
-    assert select_param_case2(1.0, 1.1) == pytest.approx(2.2, rel=1e-12)
-    with pytest.raises(ParameterError):
-        select_param_case2(1.0, 1.0)
-    # decay rate shrinks as the data radius grows
-    rates = [case2_decay_rate(2.0, 2.2, r) for r in (0.5, 1.0, 2.0, 4.0)]
+def test_case2_params_and_rate():
+    assert case2_params(2.0, 1.0, 1.0).M_tilde == pytest.approx(2.2, rel=1e-12)
+    for C, c_S, r in ((0.0, 1.0, 1.0), (2.0, 0.0, 1.0), (2.0, -1.0, 1.0),
+                      (2.0, 1.0, 0.0), (2.0, 1.0, math.nan)):
+        with pytest.raises(ParameterError, match="must be positive"):
+            case2_params(C, c_S, r)
+    # decay rate mu = C / (1 + M~ r) shrinks as the data radius grows
+    rates = [case2_params(2.0, 1.0, r).mu for r in (0.5, 1.0, 2.0, 4.0)]
+    assert rates[0] == pytest.approx(2.0 / (1.0 + 2.2 * 0.5), rel=1e-12)
     assert all(a > b for a, b in zip(rates, rates[1:]))
 
 
@@ -204,20 +209,17 @@ def test_case1_report_zero_violations(kdv127, decay_C, z0_cosine):
     sigma = hilbert_norm_map(1.0)
     params = case1_params(decay_C, sigma)
     assert params.M == 2.0
-    alpha = case1_decrease_coeff(decay_C, params.M, params.eps1, params.eps2,
-                                 params.C0)
-    rho = case1_iss_gain(params.M, params.eps1, params.eps2, params.C0, params.k)
     sys_sat = assemble_closed_loop(kdv127, sigma, cosine_disturbance(0.05, 1.0))
     traj = simulate(sys_sat, z0_cosine, 2.0, 1e-3)
     traj.observables.update((name, f(traj)) for name, f
                             in trajectory_observers(params).items())
-    report = dissipation_report(traj, "V1", alpha, rho)
+    report = dissipation_report(traj, "V1", params.alpha, params.rho)
     assert report.violation_count == 0
 
 
 def test_case2_params_and_observers(kdv127, decay_C, grid127):
     c_s = estimate_embedding_constant(grid127, n_samples=100, rng_seed=2)
-    params = case2_params(decay_C, c_s, r=2.0, margin=1.1)
+    params = case2_params(decay_C, c_s, r=2.0)
     assert params.M_tilde == pytest.approx(2.2 * c_s, rel=1e-12)
     obs = trajectory_observers(params)
     assert set(obs) == {"V2"}
@@ -242,6 +244,4 @@ def test_case1_params_reject_non_finite_constants(decay_C, level, name):
     # the gain C0 * 2M * eps2 ~ level^2 already at 1e300
     with pytest.raises(ParameterError, match="case-1 constant %s = inf" % name):
         case1_params(decay_C, hilbert_norm_map(level))
-    params = case1_params(decay_C, hilbert_norm_map(1e100))
-    rho = case1_iss_gain(params.M, params.eps1, params.eps2, params.C0, params.k)
-    assert math.isfinite(rho)
+    assert math.isfinite(case1_params(decay_C, hilbert_norm_map(1e100)).rho)

@@ -11,7 +11,7 @@ from satiss import DissipativityGateFailed, Grid, GridMismatchError, \
     ParameterError, SimulationDiverged, StateVector, assemble_closed_loop, \
     build_kdv_operator, cosine_disturbance, custom_disturbance, \
     linear_loop_operator, measure_decay_constant, norm_l2, simulate, \
-    smooth_initial_data, step, table_disturbance, zero_disturbance
+    smooth_initial_data, table_disturbance, zero_disturbance
 from satiss.saturation import hilbert_norm_map, pointwise_linf_map
 from satiss.system import LinearOperator, Trajectory, dissipativity_gate, \
     dissipativity_tolerance
@@ -365,11 +365,11 @@ def test_closed_loop_rhs_definitions(kdv127, grid127):
 def test_step_equilibrium_and_contraction(kdv127, grid127):
     sys_lin = assemble_closed_loop(kdv127, None, zero_disturbance())
     zero = StateVector(grid127, np.zeros(grid127.n_interior))
-    assert np.all(step(sys_lin, zero, 0.0, 1e-3).values == 0.0)
+    assert np.all(simulate(sys_lin, zero, 1e-3, 1e-3).states[-1] == 0.0)
 
     z = StateVector(grid127, 1.0 - np.cos(grid127.interior_nodes()))
     dt = 1e-3
-    out = step(sys_lin, z, 0.0, dt)
+    out = StateVector(grid127, simulate(sys_lin, z, dt, dt).states[-1])
     # strict one-step decay ||z+|| <= ||z|| (1 - c dt) with c > 0
     assert norm_l2(out) <= norm_l2(z) * (1.0 - 0.5 * dt)
 
@@ -378,13 +378,13 @@ def test_step_rejects_large_dt(kdv127, grid127):
     sys_h = assemble_closed_loop(kdv127, hilbert_norm_map(1.0), zero_disturbance())
     z = StateVector(grid127, np.zeros(grid127.n_interior))
     with pytest.raises(ParameterError):
-        step(sys_h, z, 0.0, 0.5)  # dt * k = 1.5
+        simulate(sys_h, z, 0.5, 0.5)  # dt * k = 1.5
 
 
 def test_step_grid_mismatch(kdv127):
     sys_lin = assemble_closed_loop(kdv127, None, zero_disturbance())
     with pytest.raises(GridMismatchError):
-        step(sys_lin, StateVector(Grid(L, 64), np.zeros(64)), 0.0, 1e-3)
+        simulate(sys_lin, StateVector(Grid(L, 64), np.zeros(64)), 1e-3, 1e-3)
 
 
 def test_step_second_order_self_convergence(kdv127, grid127):
@@ -429,6 +429,8 @@ def test_simulate_rejects_bad_horizon(kdv127, grid127):
         simulate(sys_lin, z, 0.0, 1e-3)
     with pytest.raises(ParameterError):
         simulate(sys_lin, z, 1.0, 2.0)
+    with pytest.raises(ParameterError, match="positive and finite"):
+        simulate(sys_lin, z, math.inf, 1e-3)
 
 
 def test_contraction_per_step_both_saturations(kdv127, grid127, z0_cosine):
