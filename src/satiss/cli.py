@@ -162,6 +162,12 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
     for key in ("domain.L", "time.T", "time.dt"):
         if not 0 < e[key] < math.inf:
             raise ConfigError("field %r must be positive and finite" % key)
+    for key, value in e.items():
+        values = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ConfigError("field %r must be finite" % key)
+    if e["certificate.rho_cap"] is not None and e["certificate.rho_cap"] < 0:
+        raise ConfigError("field 'certificate.rho_cap' must be non-negative or none")
     if not e["saturation.level"] > 0:
         raise ConfigError("field 'saturation.level' must be positive")
     if e["rng_seed"] < 0:
@@ -411,7 +417,7 @@ def reproduce_figure1(output_dir):
     disturbed = simulate(assemble_closed_loop(A, sigma, cosine_disturbance(0.05, 1.0)),
                          z0, FIGURE1_T, FIGURE1_DT)
     linear = simulate(assemble_closed_loop(A, None, zero_disturbance()),
-                      z0, FIGURE1_T, FIGURE1_DT)
+                      z0, FIGURE1_T, FIGURE1_DT, keep_states=False)
 
     files = []
     disturbed.write_states_csv(os.path.join(outdir, "figure1_states.csv"))

@@ -79,7 +79,8 @@ def gronwall_gap(sys: SaturatedSystem, z0: StateVector, d, T: float, dt: float) 
                                [z0, z0], T, dt)
     h = sys.A.grid.spacing_h
     diff = disturbed.states - free.states
-    gap = np.sqrt(h * np.sum(diff * diff, axis=1))
+    diff *= diff  # in place: no second (steps, n) temporary
+    gap = np.sqrt(h * np.sum(diff, axis=1))
     dsq = disturbed.observables["norm_d"] ** 2
     times = disturbed.times
     n = len(times)

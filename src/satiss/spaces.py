@@ -87,10 +87,10 @@ def norm_linf(z: StateVector) -> float:
 
 
 def norm_graph(z: StateVector, op) -> float:
-    """Graph norm ||z|| + ||A z|| for an operator with ``grid`` and ``matrix``."""
+    """Graph norm ||z|| + ||A z|| for an operator with ``grid`` and ``op @ v``."""
     if op.grid != z.grid:
         raise GridMismatchError("operator and state live on different grids")
-    image = op.matrix @ z.values
+    image = op @ z.values
     return norm_l2(z) + math.sqrt(z.grid.spacing_h * float(np.dot(image, image)))
 
 

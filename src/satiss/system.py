@@ -46,69 +46,38 @@ def _band_eigenvalue(lower_diagonals) -> float:
                                 select_range=(n - 1, n - 1))[0])
 
 
+@dataclass(frozen=True, eq=False)
 class LinearOperator:
     """A linear operator on grid functions, held as its band.
 
-    The band, the diagonals at offsets -p..p with p the bandwidth, is the
-    operator's data: ``bandwidth``, ``csc`` and the spectral values read
-    it.  ``from_band`` takes the diagonals as they are.  A dense matrix (a
-    test fixture) is kept as it is, and its band is found by one scan; a
-    general dense matrix is a band of full width and takes the same route.
-    The dense ``matrix`` of an operator built from its band is filled once,
-    on first read.  Spectral values are computed on first use.  Operators
-    are immutable.
+    ``band`` holds the diagonals at offsets -p..p, p the bandwidth: 2p + 1
+    of them, the one at offset k with n - |k| entries.  They are copied
+    into read-only arrays, and ``bandwidth``, ``csc`` and the spectral
+    values read them.  ``A @ z`` is the operator's product.  The dense
+    ``matrix`` is filled once, on first read; spectral values are computed
+    on first use.  Operators are immutable.
     """
 
-    def __init__(self, grid: Grid, matrix):
-        # a read-only float64 array that owns its data is taken as it is;
-        # anything else is copied, so a caller's array cannot change A later
-        m = matrix
-        if not (isinstance(m, np.ndarray) and m.dtype == np.float64
-                and m.flags.owndata and not m.flags.writeable):
-            m = np.array(m, dtype=float)
-            m.setflags(write=False)
-        n = grid.n_interior
-        if m.shape != (n, n):
-            raise GridMismatchError(
-                "operator is %r but the grid has %d interior nodes" % (m.shape, n))
-        object.__setattr__(self, "grid", grid)
-        self.__dict__["matrix"] = m
+    grid: Grid
+    band: tuple
 
-    @classmethod
-    def from_band(cls, grid: Grid, diagonals) -> LinearOperator:
-        """The operator whose diagonals at offsets -p..p are ``diagonals``
-        (2p + 1 of them; the one at offset k has n - |k| entries)."""
-        n = grid.n_interior
-        p = (len(diagonals) - 1) // 2
-        band = tuple(np.array(d, dtype=float) for d in diagonals)
+    def __post_init__(self):
+        n = self.grid.n_interior
+        p = (len(self.band) - 1) // 2
+        band = tuple(np.array(d, dtype=float) for d in self.band)
         if len(band) % 2 != 1 or p >= n or any(
                 d.shape != (n - abs(k),) for k, d in zip(range(-p, p + 1), band)):
             raise GridMismatchError("a band of %d diagonals does not fit a grid of %d "
                                     "interior nodes" % (len(band), n))
         for d in band:
             d.setflags(write=False)
-        op = cls.__new__(cls)
-        object.__setattr__(op, "grid", grid)
-        op.__dict__["band"] = band
-        return op
+        object.__setattr__(self, "band", band)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearOperator is immutable")
-
-    @cached_property
-    def band(self) -> tuple:
-        """Read-only diagonals at offsets -p..p, p = ``bandwidth``.  For a
-        dense matrix, p is the largest |i - j| over its nonzero entries (0
-        for a zero matrix)."""
-        m = self.matrix
-        nonzero = m != 0
-        n = len(nonzero)
-        rows = np.arange(n)
-        first = nonzero.argmax(axis=1)
-        last = n - 1 - nonzero[:, ::-1].argmax(axis=1)
-        reach = np.maximum(rows - first, last - rows)
-        p = int(np.max(reach, where=nonzero[rows, first], initial=0))
-        return tuple(np.diagonal(m, k) for k in range(-p, p + 1))
+    def __matmul__(self, z: np.ndarray) -> np.ndarray:
+        """A z for a state (n,) or a column-major block (n, m), one state per
+        column.  (z^T A^T)^T keeps a block column-major, and for a state or
+        a block of one it is the same BLAS gemv as ``matrix @ z``."""
+        return (z.T @ self.matrix.T).T
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -216,7 +185,7 @@ def build_kdv_operator(grid: Grid) -> LinearOperator:
     main[-1] += -c3  # reflected ghost z_{n+2} = z_n
     band = (np.full(n - 2, c3), np.full(n - 1, sub), main,
             np.full(n - 1, 2.0 * c3), np.full(n - 2, -c3))
-    return dissipativity_gate(LinearOperator.from_band(grid, band))
+    return dissipativity_gate(LinearOperator(grid, band))
 
 
 def linear_loop_operator(A: LinearOperator) -> LinearOperator:
@@ -224,7 +193,7 @@ def linear_loop_operator(A: LinearOperator) -> LinearOperator:
     A's band with its main diagonal shifted by -1."""
     band, p = list(A.band), A.bandwidth
     band[p] = band[p] - 1.0
-    return LinearOperator.from_band(A.grid, band)
+    return LinearOperator(A.grid, band)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +279,7 @@ class SaturatedSystem:
                          self.A.grid.spacing_h)
 
     def rhs_values(self, values: np.ndarray, t: float) -> np.ndarray:
-        return self.A.matrix @ values - self.feedback_values(values, t)
+        return self.A @ values - self.feedback_values(values, t)
 
 
 def _feedback(sigma: SaturationMap, arg: np.ndarray, h: float) -> np.ndarray:
@@ -354,7 +323,7 @@ class _ImexStepper:
                 % (dt * sys0.feedback_lipschitz))
         self.dt = dt
         self.grid = sys0.A.grid
-        self._a_transposed = sys0.A.matrix.T
+        self._A = sys0.A
         self._sigma = sys0.sigma
         # cosine members as (m,) amplitude/frequency vectors; members with
         # a func are filled per column
@@ -380,10 +349,7 @@ class _ImexStepper:
     def products(self, z: np.ndarray, t: float):
         """(A z, sigma(B* z + d(t)), d(t)) for a block z at time t."""
         d = self.disturbance(t)
-        # (z^T A^T)^T keeps the block column-major; for m = 1 it is the
-        # same BLAS gemv as A @ z
-        az = (z.T @ self._a_transposed).T
-        return az, _feedback(self._sigma, z + d, self.grid.spacing_h), d
+        return self._A @ z, _feedback(self._sigma, z + d, self.grid.spacing_h), d
 
     def advance(self, z: np.ndarray, t: float, az: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The block at t + dt, from z and its products az = A z and

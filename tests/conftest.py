@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from satiss import Grid, StateVector, build_kdv_operator, linear_loop_operator, \
-    measure_decay_constant
+from satiss import Grid, LinearOperator, StateVector, build_kdv_operator, \
+    linear_loop_operator, measure_decay_constant
 
 L = 2.0 * math.pi
 
@@ -34,3 +34,9 @@ def random_states(grid, n, seed, amplitude=2.0):
     rng = np.random.default_rng(seed)
     return [StateVector(grid, rng.uniform(-amplitude, amplitude, grid.n_interior))
             for _ in range(n)]
+
+
+def dense_operator(grid, matrix):
+    """The operator of a dense test matrix, from all 2n - 1 of its diagonals."""
+    n = grid.n_interior
+    return LinearOperator(grid, [np.diagonal(matrix, k) for k in range(1 - n, n)])

@@ -203,10 +203,27 @@ def test_cli_v1_constants_must_be_finite(tmp_path, capsys, level, message):
      "field 'rng_seed' must be non-negative"),
     ("0.001", "analysis.semiglobal_r = 1.0\nanalysis.semiglobal_samples = 0\n",
      "samples_per_r must be >= 1"),
+    ("0.001", "initial.family = smooth_random\ninitial.graph_norm = inf\n",
+     "field 'initial.graph_norm' must be finite"),
+    ("0.001", "initial.amplitude = nan\n", "field 'initial.amplitude' must be finite"),
+    ("0.001", "analysis.semiglobal_r = 1.0, inf\n",
+     "field 'analysis.semiglobal_r' must be finite"),
+    ("0.001", "disturbance.kind = cosine\ndisturbance.amplitude = inf\n",
+     "field 'disturbance.amplitude' must be finite"),
+    ("0.001", "disturbance.kind = cosine\ndisturbance.amplitude = 0.05\n"
+     "disturbance.frequency = nan\n", "field 'disturbance.frequency' must be finite"),
+    ("0.001", "analysis.certificate = true\ncertificate.members = 4\n"
+     "certificate.rho_cap = nan\n", "field 'certificate.rho_cap' must be finite"),
+    ("0.001", "analysis.certificate = true\ncertificate.members = 4\n"
+     "certificate.rho_cap = -1\n",
+     "field 'certificate.rho_cap' must be non-negative or none"),
 ], ids=["infinite_horizon", "negative_seed_initial", "negative_seed_certificate",
-        "semiglobal_without_samples"])
+        "semiglobal_without_samples", "infinite_graph_norm", "nan_amplitude",
+        "infinite_semiglobal_radius", "infinite_disturbance_amplitude",
+        "nan_disturbance_frequency", "nan_rho_cap", "negative_rho_cap"])
 def test_cli_unusable_input_is_config_error(tmp_path, capsys, horizon, extra, message):
-    # neither a traceback from math.ceil or default_rng nor a report of NaN
+    # neither a traceback (math.ceil, default_rng, a non-finite state) nor a
+    # report of NaN, a divergence or a cap no run can meet
     body = MINIMAL.format(out=tmp_path / "bad_out").replace(
         "time.T = 0.001", "time.T = " + horizon) + extra
     assert main(["run", str(write_config(tmp_path, body))]) == 2

@@ -8,9 +8,9 @@ from satiss import Grid, InfeasibleParameters, LyapunovParams, ParameterError, \
     cosine_disturbance, dissipation_report, estimate_embedding_constant, \
     hilbert_norm_map, measure_decay_constant, norm_graph, norm_l2, norm_linf, \
     simulate, trajectory_observers, zero_disturbance
-from satiss.system import LinearOperator, Trajectory
+from satiss.system import Trajectory
 
-from conftest import L, random_states
+from conftest import L, dense_operator, random_states
 
 
 def unit_norm_state(grid):
@@ -68,7 +68,7 @@ def test_v1_v2_positive_definite(grid127):
 
 
 def test_measure_decay_constant(grid127, kdv127, decay_C):
-    minus_identity = LinearOperator(grid127, -np.eye(127))
+    minus_identity = dense_operator(grid127, -np.eye(127))
     assert measure_decay_constant(minus_identity) == pytest.approx(2.0, rel=1e-12)
     # identity feedback shifts the spectrum by -1, so C is a bit above 2
     assert 1.9 <= decay_C <= 2.2

@@ -7,9 +7,8 @@ import sympy
 from satiss import Grid, GridMismatchError, StateVector, build_kdv_operator, \
     inner_l2, norm_graph, norm_l1, norm_l2, norm_linf, random_smooth_values
 from satiss.spaces import _sine_basis, boundary_envelope
-from satiss.system import LinearOperator
 
-from conftest import L, random_states
+from conftest import L, dense_operator, random_states
 
 
 def test_grid_spacing_invariant():
@@ -140,7 +139,7 @@ def test_norm_graph_zero_state(kdv127, grid127):
 
 def test_norm_graph_zero_operator():
     g = Grid(L, 16)
-    zero_op = LinearOperator(g, np.zeros((16, 16)))
+    zero_op = dense_operator(g, np.zeros((16, 16)))
     for z in random_states(g, 20, seed=6):
         assert norm_graph(z, zero_op) == pytest.approx(norm_l2(z), rel=1e-12)
 
