@@ -5,14 +5,12 @@ loop as the reference instance."""
 from .errors import CertificationError, ConfigError, DissipativityGateFailed, \
     GridMismatchError, InfeasibleParameters, ParameterError, SimulationDiverged
 from .spaces import Grid, StateVector, boundary_envelope, inner_l2, norm_graph, \
-    norm_l1, norm_l2, norm_linf, random_smooth_values
-from .saturation import AxiomReport, SaturationKind, SaturationMap, \
-    apply_saturation, check_axioms, estimate_item5_C0, hilbert_norm_map, \
-    pointwise_linf_map
+    norm_l2, norm_linf, random_smooth_values
+from .saturation import AxiomReport, SaturationKind, SaturationMap, check_axioms, \
+    hilbert_norm_map, pointwise_linf_map
 from .system import DisturbanceSignal, LinearOperator, SaturatedSystem, \
     Trajectory, assemble_closed_loop, build_kdv_operator, cosine_disturbance, \
-    custom_disturbance, linear_loop_operator, simulate, table_disturbance, \
-    with_disturbance, zero_disturbance
+    linear_loop_operator, simulate, zero_disturbance
 from .lyapunov import DissipationReport, LyapunovParams, case1_params, \
     case2_params, dissipation_report, estimate_embedding_constant, \
     measure_decay_constant, trajectory_observers

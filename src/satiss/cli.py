@@ -8,7 +8,9 @@ Verbs:
 * ``certify <config>``  ensemble ISS certification
 
 Configs are flat ``key = value`` text with dotted section keys, e.g.
-``domain.L = 6.283185307179586``.  The environment variable
+``domain.L = 6.283185307179586``.  Each key's row in ``_SCHEMA`` gives its
+parser, its default and the values it allows; a config is checked against
+every row before any file is written.  The environment variable
 ``SATISS_OUTPUT_ROOT`` prefixes relative output directories.  Exit codes:
 0 success, 2 configuration error, 3 gate failure (dissipativity or
 parameter infeasibility, or axiom violations) or a diverged integration
@@ -20,6 +22,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,8 +33,7 @@ from .errors import CertificationError, ConfigError, DissipativityGateFailed, \
 from .saturation import check_axioms, hilbert_norm_map, pointwise_linf_map
 from .spaces import Grid, StateVector, norm_graph
 from .system import _write_csv, assemble_closed_loop, build_kdv_operator, \
-    cosine_disturbance, linear_loop_operator, simulate, with_disturbance, \
-    zero_disturbance
+    cosine_disturbance, linear_loop_operator, simulate, zero_disturbance
 
 OUTPUT_ROOT_ENV = "SATISS_OUTPUT_ROOT"
 
@@ -58,40 +60,54 @@ def _parse_optional_float(s):
     return None if s.strip().lower() == "none" else float(s)
 
 
-_SCHEMA = {
-    "domain.L": (float, _REQUIRED),
-    "domain.n_interior": (int, _REQUIRED),
-    "time.T": (float, _REQUIRED),
-    "time.dt": (float, _REQUIRED),
-    "initial.family": (str, "one_minus_cosine"),
-    "initial.amplitude": (float, 1.0),
-    "initial.mode": (int, 1),
-    "initial.graph_norm": (float, 1.0),
-    "disturbance.kind": (str, "zero"),
-    "disturbance.amplitude": (float, 0.0),
-    "disturbance.frequency": (float, 1.0),
-    "saturation.kind": (str, "none"),
-    "saturation.level": (float, 1.0),
-    "analysis.axioms": (_parse_bool, False),
-    "analysis.axioms_samples": (int, 10000),
-    "analysis.axioms_amplitude": (float, 3.0),
-    "analysis.dissipation": (str, "off"),
-    "analysis.safety": (float, 0.5),
-    "analysis.gap": (_parse_bool, False),
-    "analysis.semiglobal_r": (_parse_float_list, []),
-    "analysis.semiglobal_samples": (int, 5),
-    "analysis.certificate": (_parse_bool, False),
-    "certificate.members": (int, 20),
-    "certificate.rho_cap": (_parse_optional_float, None),
-    "output.states": (_parse_bool, False),
-    "rng_seed": (int, 0),
-    "output_dir": (str, "out"),
-}
+def _one_of(*choices):
+    return (lambda v: v in choices), "must be one of %s" % (choices,)
 
-_INITIAL_FAMILIES = ("zero", "one_minus_cosine", "sine_mode", "smooth_random")
-_DISTURBANCE_KINDS = ("zero", "cosine")
-_SATURATION_KINDS = ("none", "pointwise_linf", "hilbert_norm")
-_DISSIPATION_CHOICES = ("off", "v", "v1", "v2")
+
+def _at_least(low, message):
+    return (lambda v: not v < low), message
+
+
+_POSITIVE = (lambda v: not v <= 0), "must be positive"
+_POSITIVE_FINITE = (lambda v: 0 < v < math.inf), "must be positive and finite"
+
+#: key -> (parser, default, allowed): ``allowed`` is None for any value, or
+#: a test of one value with the message that says what the test asks.
+#: Every real value must also be finite; that is checked after the test,
+#: and the tests let NaN through to it.
+_SCHEMA = {
+    "domain.L": (float, _REQUIRED, _POSITIVE_FINITE),
+    "domain.n_interior": (int, _REQUIRED, _at_least(5, "must be at least 5")),
+    "time.T": (float, _REQUIRED, _POSITIVE_FINITE),
+    "time.dt": (float, _REQUIRED, _POSITIVE_FINITE),
+    "initial.family": (str, "one_minus_cosine",
+                       _one_of("zero", "one_minus_cosine", "sine_mode", "smooth_random")),
+    "initial.amplitude": (float, 1.0, None),
+    "initial.mode": (int, 1, None),
+    "initial.graph_norm": (float, 1.0, _POSITIVE),
+    "disturbance.kind": (str, "zero", _one_of("zero", "cosine")),
+    "disturbance.amplitude": (float, 0.0, None),
+    "disturbance.frequency": (float, 1.0, None),
+    "saturation.kind": (str, "none", _one_of("none", "pointwise_linf", "hilbert_norm")),
+    "saturation.level": (float, 1.0, _POSITIVE),
+    "analysis.axioms": (_parse_bool, False, None),
+    "analysis.axioms_samples": (int, 10000, _at_least(1, "must be >= 1")),
+    "analysis.axioms_amplitude": (float, 3.0, _POSITIVE),
+    "analysis.dissipation": (str, "off", _one_of("off", "v", "v1", "v2")),
+    "analysis.safety": (float, 0.5, ((lambda v: not (v <= 0 or v >= 1)),
+                                     "must lie in (0, 1)")),
+    "analysis.gap": (_parse_bool, False, None),
+    "analysis.semiglobal_r": (_parse_float_list, [], None),
+    "analysis.semiglobal_samples": (int, 5, _at_least(1, "must be >= 1")),
+    "analysis.certificate": (_parse_bool, False, None),
+    "certificate.members": (int, 20, _at_least(1, "must be >= 1")),
+    "certificate.rho_cap": (_parse_optional_float, None,
+                            ((lambda v: v is None or not v < 0),
+                             "must be non-negative or none")),
+    "output.states": (_parse_bool, False, None),
+    "rng_seed": (int, 0, _at_least(0, "must be non-negative")),
+    "output_dir": (str, "out", None),
+}
 
 
 class ExperimentConfig:
@@ -143,12 +159,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA:
             raise ConfigError("line %d: unknown field %r" % (lineno, key))
-        parser, _ = _SCHEMA[key]
+        parser = _SCHEMA[key][0]
         try:
             entries[key] = parser(value)
         except ValueError as exc:
             raise ConfigError("line %d: field %r: %s" % (lineno, key, exc))
-    for key, (_, default) in _SCHEMA.items():
+    for key, (_, default, _) in _SCHEMA.items():
         if key in entries:
             continue
         if default is _REQUIRED:
@@ -159,32 +175,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def _validate(config: ExperimentConfig) -> ExperimentConfig:
     e = config.entries
-    for key in ("domain.L", "time.T", "time.dt"):
-        if not 0 < e[key] < math.inf:
-            raise ConfigError("field %r must be positive and finite" % key)
-    for key, value in e.items():
-        values = value if isinstance(value, list) else [value]
+    for key, (_, _, allowed) in _SCHEMA.items():
+        values = e[key] if isinstance(e[key], list) else [e[key]]
+        if allowed is not None and not all(map(allowed[0], values)):
+            raise ConfigError("field %r %s" % (key, allowed[1]))
         if any(isinstance(v, float) and not math.isfinite(v) for v in values):
             raise ConfigError("field %r must be finite" % key)
-    if e["certificate.rho_cap"] is not None and e["certificate.rho_cap"] < 0:
-        raise ConfigError("field 'certificate.rho_cap' must be non-negative or none")
-    if not e["saturation.level"] > 0:
-        raise ConfigError("field 'saturation.level' must be positive")
-    if e["rng_seed"] < 0:
-        raise ConfigError("field 'rng_seed' must be non-negative")
-    if e["domain.n_interior"] < 5:
-        raise ConfigError("field 'domain.n_interior' must be at least 5")
     if e["time.dt"] > e["time.T"]:
         raise ConfigError("field 'time.dt' must not exceed 'time.T'")
-    if e["initial.family"] not in _INITIAL_FAMILIES:
-        raise ConfigError("field 'initial.family' must be one of %s" % (_INITIAL_FAMILIES,))
-    if e["disturbance.kind"] not in _DISTURBANCE_KINDS:
-        raise ConfigError("field 'disturbance.kind' must be one of %s" % (_DISTURBANCE_KINDS,))
-    if e["saturation.kind"] not in _SATURATION_KINDS:
-        raise ConfigError("field 'saturation.kind' must be one of %s" % (_SATURATION_KINDS,))
-    if e["analysis.dissipation"] not in _DISSIPATION_CHOICES:
-        raise ConfigError("field 'analysis.dissipation' must be one of %s"
-                          % (_DISSIPATION_CHOICES,))
     sigma = _saturation_map(e["saturation.kind"], e["saturation.level"], e["domain.L"])
     k = sigma.lipschitz_k if sigma is not None else 1.0
     if e["time.dt"] * k >= 1.0:
@@ -314,7 +312,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None):
 
     r_list = config["analysis.semiglobal_r"]
     if r_list:
-        fit = iss_mod.fit_semiglobal(with_disturbance(sys_loop, zero_disturbance()),
+        fit = iss_mod.fit_semiglobal(replace(sys_loop, d=zero_disturbance()),
                                      r_list, config["analysis.semiglobal_samples"],
                                      T, dt, seed)
         _write_text(outdir, files, "semiglobal.txt", "".join(
@@ -373,8 +371,6 @@ def _dissipation_report(traj, params, which):
 
 def _run_certificate(config, sys_loop, grid, A, T, dt):
     members = config["certificate.members"]
-    if members < 1:
-        raise ConfigError("field 'certificate.members' must be >= 1")
     seed = config["rng_seed"]
     amp_targets = np.linspace(0.5, 5.0, members)
     d_amps = [0.0, 0.0, 0.02, 0.05, 0.1]

@@ -22,14 +22,14 @@ recorded time.  Stability bounds are inequalities, not regressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CertificationError, ParameterError
 from .spaces import Grid, StateVector, norm_graph, norm_l2, random_smooth_values
 from .system import SaturatedSystem, Trajectory, _write_csv, simulate, \
-    with_disturbance, zero_disturbance
+    zero_disturbance
 
 
 def smooth_initial_data(grid: Grid, A, target_graph_norm: float, rng) -> StateVector:
@@ -74,8 +74,7 @@ def gronwall_gap(sys: SaturatedSystem, z0: StateVector, d, T: float, dt: float) 
     """Simulate the disturbed loop and its undisturbed twin from the same z0
     and bound the gap z~ = z^d - z per step."""
     k = sys.feedback_lipschitz
-    disturbed, free = simulate([with_disturbance(sys, d),
-                                with_disturbance(sys, zero_disturbance())],
+    disturbed, free = simulate([replace(sys, d=d), replace(sys, d=zero_disturbance())],
                                [z0, z0], T, dt)
     h = sys.A.grid.spacing_h
     diff = disturbed.states - free.states
@@ -161,7 +160,7 @@ def fit_semiglobal(sys: SaturatedSystem, r_values, samples_per_r: int,
         raise ParameterError("r_values must be nonempty")
     if samples_per_r < 1:
         raise ParameterError("samples_per_r must be >= 1, got %d" % samples_per_r)
-    if not (sys.d.func is None and sys.d.amplitude == 0.0):
+    if sys.d.amplitude != 0.0:
         raise ParameterError("semi-global fitting needs an undisturbed loop")
     grid = sys.A.grid
     z0s = []
@@ -257,7 +256,7 @@ def iss_certificate(sys: SaturatedSystem, z0_ensemble, d_ensemble,
     d_ensemble = list(d_ensemble)
     if not z0_ensemble or len(z0_ensemble) != len(d_ensemble):
         raise ParameterError("ensembles must be nonempty and of equal length")
-    trajs = simulate([with_disturbance(sys, d) for d in d_ensemble], z0_ensemble,
+    trajs = simulate([replace(sys, d=d) for d in d_ensemble], z0_ensemble,
                      T, dt, keep_states=False)
     runs = [(traj.times, traj.observables["norm_l2"], norm_l2(z0),
              _disturbance_energy(traj)) for z0, traj in zip(z0_ensemble, trajs)]

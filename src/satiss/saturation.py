@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .spaces import Grid, StateVector, random_smooth_values
+from .spaces import Grid, random_smooth_values
 
 
 class SaturationKind(enum.Enum):
@@ -127,12 +127,6 @@ def _sat_values(kind: SaturationKind, values: np.ndarray, level: float, h: float
     return _sat_hilbert_values(values, level, h)
 
 
-def apply_saturation(sigma: SaturationMap, z: StateVector) -> StateVector:
-    """sigma(z): the node-wise clamp, or the radial retraction onto the L2 ball."""
-    return StateVector(z.grid, _sat_values(sigma.kind, z.values, sigma.level,
-                                           z.grid.spacing_h))
-
-
 @dataclass
 class AxiomReport:
     """Aggregated evidence from a randomized axiom sweep."""
@@ -189,27 +183,22 @@ def _draw_states(grid: Grid, rngs, amplitude: float, out: np.ndarray):
     out[rows[~live]] = 0.0
 
 
-def _sample_blocks(grid: Grid, n_samples: int, rng_seed: int, n_states: int,
-                   amplitude: float, perturbation_scale: float = None):
-    """Yield lists of ``n_states`` (n, m) blocks of at most ``_CHUNK`` samples.
+def _sample_blocks(grid: Grid, n_samples: int, rng_seed: int, amplitude: float):
+    """Yield (s, t, s~) triples of (n, m) blocks of at most ``_CHUNK`` samples.
 
-    Sample i draws its states from its own stream ``default_rng((rng_seed,
-    i))``, in list order, and then the perturbation factor ``uniform(0, 1)``
-    that scales its last state, unless ``perturbation_scale`` fixes it.  So
-    column i of each block is the state a per-sample evaluation would see.
-    The columns are the contiguous rows of a C-order array; the yielded views
-    are overwritten by the next block.
+    Sample i draws s, t and s~ from its own stream ``default_rng((rng_seed,
+    i))``, in that order, and then the factor ``uniform(0, 1)`` that scales
+    its s~.  So column i of each block is the state a per-sample evaluation
+    would see.  The columns are the contiguous rows of a C-order array; the
+    yielded views are overwritten by the next block.
     """
-    arrays = [np.empty((_CHUNK, grid.n_interior)) for _ in range(n_states)]
+    arrays = [np.empty((_CHUNK, grid.n_interior)) for _ in range(3)]
     for start in range(0, n_samples, _CHUNK):
         m = min(_CHUNK, n_samples - start)
         rngs = [np.random.default_rng((rng_seed, start + i)) for i in range(m)]
         for array in arrays:
             _draw_states(grid, rngs, amplitude, array)
-        if perturbation_scale is None:
-            arrays[-1][:m] *= np.array([rng.uniform(0.0, 1.0) for rng in rngs])[:, None]
-        else:
-            arrays[-1][:m] *= perturbation_scale
+        arrays[-1][:m] *= np.array([rng.uniform(0.0, 1.0) for rng in rngs])[:, None]
         yield [array[:m].T for array in arrays]
 
 
@@ -284,7 +273,7 @@ def check_axioms(sigma: SaturationMap, grid: Grid, n_samples: int,
     lipschitz_estimate = 0.0
     item4_max_residual = -math.inf
     item5_estimate = 0.0
-    for s, t, pert in _sample_blocks(grid, n_samples, rng_seed, 3, amplitude):
+    for s, t, pert in _sample_blocks(grid, n_samples, rng_seed, amplitude):
         sig_s = _sat_values(kind, s, level, h)
         sig_t = _sat_values(kind, t, level, h)
         d_sig = sig_s - sig_t
@@ -308,22 +297,3 @@ def check_axioms(sigma: SaturationMap, grid: Grid, n_samples: int,
         item5_C0_estimate=item5_estimate,
         samples_used=n_samples,
     )
-
-
-def estimate_item5_C0(sigma: SaturationMap, grid: Grid, n_samples: int,
-                      amplitude: float, rng_seed: int,
-                      perturbation_scale: float = None) -> float:
-    """Empirical sup of <s, sigma(s + s~) - sigma(s)> / ||s~|| over samples.
-
-    ``perturbation_scale`` overrides the random perturbation size; passing 0
-    makes every s~ vanish and the estimate is 0 by convention.
-    """
-    _check_sweep(grid, n_samples, amplitude)
-    h = grid.spacing_h
-    level = sigma.level
-    best = 0.0
-    for s, pert in _sample_blocks(grid, n_samples, rng_seed, 2, amplitude,
-                                  perturbation_scale):
-        sig_s = _sat_values(sigma.kind, s, level, h)
-        best = _running_max(best, _shift_ratios(sigma.kind, s, pert, sig_s, level, h))
-    return best

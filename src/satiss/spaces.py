@@ -3,10 +3,9 @@
 States live on the interior nodes of a uniform grid over [0, L] with
 homogeneous Dirichlet values at both walls.  Integrals use the rectangle
 rule h * sum over interior nodes; because the wall values vanish this
-coincides with the trapezoid rule.  Four norms are provided: the L2 norm
-with its scalar product, the sup norm, the L1 norm (dual-space surrogate
-for sup-norm-bounded maps), and the graph norm ||z|| + ||A z|| of a
-linear operator.
+coincides with the trapezoid rule.  Three norms are provided: the L2 norm
+with its scalar product, the sup norm, and the graph norm ||z|| + ||A z||
+of a linear operator.
 
 All operations are pure functions on immutable inputs.
 """
@@ -76,10 +75,6 @@ def inner_l2(a: StateVector, b: StateVector) -> float:
 
 def norm_l2(z: StateVector) -> float:
     return math.sqrt(max(inner_l2(z, z), 0.0))
-
-
-def norm_l1(z: StateVector) -> float:
-    return float(z.grid.spacing_h * np.sum(np.abs(z.values)))
 
 
 def norm_linf(z: StateVector) -> float:

@@ -13,7 +13,7 @@ explicit midpoint rule on the globally Lipschitz feedback term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +24,7 @@ from scipy.sparse.linalg import splu
 from .errors import DissipativityGateFailed, GridMismatchError, ParameterError, \
     SimulationDiverged
 from .saturation import SaturationMap, _sat_values
-from .spaces import Grid, StateVector
+from .spaces import Grid
 
 #: gate threshold is this factor times the spectral norm of the operator;
 #: eigen-solver noise scales with ||A||.
@@ -198,28 +198,12 @@ def linear_loop_operator(A: LinearOperator) -> LinearOperator:
 
 @dataclass(frozen=True, eq=False)
 class DisturbanceSignal:
-    """Disturbance d(t) entering the actuator, valued in grid functions.
-
-    Without ``func`` it is the uniform cosine amplitude * cos(frequency * t),
-    and (0, 0) is the zero disturbance.  With ``func`` it is func(t): a
-    scalar, taken as uniform, or the values at the interior nodes.
-    """
+    """Disturbance d(t) entering the actuator: the uniform cosine
+    amplitude * cos(frequency * t) at every interior node; (0, 0) is the
+    zero disturbance."""
 
     amplitude: float = 0.0
     frequency: float = 0.0
-    func: object = None
-
-    def values_at(self, t: float, grid: Grid) -> np.ndarray:
-        n = grid.n_interior
-        if self.func is None:
-            return np.full(n, self.amplitude * math.cos(self.frequency * t))
-        out = np.asarray(self.func(t), dtype=float)
-        if out.ndim == 0:
-            return np.full(n, float(out))
-        if out.shape != (n,):
-            raise GridMismatchError("disturbance returned shape %r on a grid of %d "
-                                    "interior nodes" % (out.shape, n))
-        return out
 
 
 def zero_disturbance() -> DisturbanceSignal:
@@ -228,36 +212,6 @@ def zero_disturbance() -> DisturbanceSignal:
 
 def cosine_disturbance(amplitude: float, frequency: float = 1.0) -> DisturbanceSignal:
     return DisturbanceSignal(amplitude=amplitude, frequency=frequency)
-
-
-def table_disturbance(times, states) -> DisturbanceSignal:
-    """Tabulated disturbance; ``states`` may be StateVectors or raw value rows.
-
-    Entries are interpolated linearly in t (clamped at the ends) so the
-    half-step samples of the integrator see a continuous signal.
-    """
-    t_tab = np.array(times, dtype=float)
-    rows = np.array([s.values if isinstance(s, StateVector) else s for s in states],
-                    dtype=float)
-    if t_tab.ndim != 1 or len(t_tab) != len(rows) or len(t_tab) < 1:
-        raise ParameterError("table needs matching, nonempty times and states")
-    if np.any(np.diff(t_tab) <= 0):
-        raise ParameterError("table times must be strictly increasing")
-    rows.setflags(write=False)
-
-    def interpolate(t):
-        if t <= t_tab[0]:
-            return rows[0]
-        if t >= t_tab[-1]:
-            return rows[-1]
-        i = int(np.searchsorted(t_tab, t, side="right")) - 1
-        w = (t - t_tab[i]) / (t_tab[i + 1] - t_tab[i])
-        return (1.0 - w) * rows[i] + w * rows[i + 1]
-    return DisturbanceSignal(func=interpolate)
-
-
-def custom_disturbance(func) -> DisturbanceSignal:
-    return DisturbanceSignal(func=func)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,14 +227,6 @@ class SaturatedSystem:
     def feedback_lipschitz(self) -> float:
         return self.sigma.lipschitz_k if self.sigma is not None else 1.0
 
-    def feedback_values(self, values: np.ndarray, t: float) -> np.ndarray:
-        """sigma(B* z + d(t)); the applied input is the negative of this."""
-        return _feedback(self.sigma, values + self.d.values_at(t, self.A.grid),
-                         self.A.grid.spacing_h)
-
-    def rhs_values(self, values: np.ndarray, t: float) -> np.ndarray:
-        return self.A @ values - self.feedback_values(values, t)
-
 
 def _feedback(sigma: SaturationMap, arg: np.ndarray, h: float) -> np.ndarray:
     """sigma(arg) for a state or a block; sigma = None is the identity."""
@@ -292,10 +238,6 @@ def assemble_closed_loop(A: LinearOperator, sigma: SaturationMap,
     if d is None:
         d = zero_disturbance()
     return SaturatedSystem(A=A, sigma=sigma, d=d)
-
-
-def with_disturbance(sys: SaturatedSystem, d: DisturbanceSignal) -> SaturatedSystem:
-    return replace(sys, d=d)
 
 
 class _ImexStepper:
@@ -325,12 +267,9 @@ class _ImexStepper:
         self.grid = sys0.A.grid
         self._A = sys0.A
         self._sigma = sys0.sigma
-        # cosine members as (m,) amplitude/frequency vectors; members with
-        # a func are filled per column
-        ds = [s.d for s in systems]
-        self._amplitude = np.array([d.amplitude for d in ds])
-        self._frequency = np.array([d.frequency for d in ds])
-        self._tabulated = [(j, d) for j, d in enumerate(ds) if d.func is not None]
+        # the members' cosines as (m,) amplitude and frequency vectors
+        self._amplitude = np.array([s.d.amplitude for s in systems])
+        self._frequency = np.array([s.d.frequency for s in systems])
         n = self.grid.n_interior
         m = sparse.identity(n, format="csc") - (dt / 2.0) * sys0.A.csc
         try:
@@ -342,8 +281,6 @@ class _ImexStepper:
         """d(t) of every member as an (n, m) block."""
         out = np.empty((self.grid.n_interior, len(self._amplitude)), order="F")
         out[:] = self._amplitude * np.cos(self._frequency * t)
-        for j, d in self._tabulated:
-            out[:, j] = d.values_at(t, self.grid)
         return out
 
     def products(self, z: np.ndarray, t: float):

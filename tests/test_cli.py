@@ -202,7 +202,7 @@ def test_cli_v1_constants_must_be_finite(tmp_path, capsys, level, message):
     ("0.001", "rng_seed = -1\nanalysis.certificate = true\ncertificate.members = 1\n",
      "field 'rng_seed' must be non-negative"),
     ("0.001", "analysis.semiglobal_r = 1.0\nanalysis.semiglobal_samples = 0\n",
-     "samples_per_r must be >= 1"),
+     "field 'analysis.semiglobal_samples' must be >= 1"),
     ("0.001", "initial.family = smooth_random\ninitial.graph_norm = inf\n",
      "field 'initial.graph_norm' must be finite"),
     ("0.001", "initial.amplitude = nan\n", "field 'initial.amplitude' must be finite"),
@@ -229,6 +229,30 @@ def test_cli_unusable_input_is_config_error(tmp_path, capsys, horizon, extra, me
     assert main(["run", str(write_config(tmp_path, body))]) == 2
     assert "config error: " + message in capsys.readouterr().err
     assert not (tmp_path / "bad_out" / "semiglobal.txt").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("analysis.certificate = true\ncertificate.members = 0\n",
+     "field 'certificate.members' must be >= 1"),
+    ("analysis.semiglobal_r = 1.0\nanalysis.semiglobal_samples = 0\n",
+     "field 'analysis.semiglobal_samples' must be >= 1"),
+    ("analysis.axioms = true\nanalysis.axioms_samples = 0\n",
+     "field 'analysis.axioms_samples' must be >= 1"),
+    ("analysis.axioms = true\nanalysis.axioms_amplitude = 0\n",
+     "field 'analysis.axioms_amplitude' must be positive"),
+    ("analysis.safety = 1\n", "field 'analysis.safety' must lie in (0, 1)"),
+    ("initial.family = smooth_random\ninitial.graph_norm = 0\n",
+     "field 'initial.graph_norm' must be positive"),
+], ids=["no_certificate_members", "no_semiglobal_samples", "no_axiom_samples",
+        "zero_axiom_amplitude", "unit_safety", "zero_graph_norm"])
+def test_cli_out_of_range_field_writes_nothing(tmp_path, capsys, extra, message):
+    # each value is refused by its schema row, before the output directory
+    # is made: no trajectory.csv without its manifest
+    out = tmp_path / "range_out"
+    body = MINIMAL.format(out=out) + extra
+    assert main(["run", str(write_config(tmp_path, body))]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
+    assert not out.exists() or os.listdir(out) == []
 
 
 def test_cli_axioms_negative_seed_is_config_error(capsys):

@@ -4,33 +4,33 @@ import numpy as np
 import pytest
 
 from satiss import Grid, ParameterError, StateVector, check_axioms, \
-    estimate_item5_C0, hilbert_norm_map, norm_l2, norm_linf, \
-    pointwise_linf_map
+    hilbert_norm_map, norm_l2, norm_linf, pointwise_linf_map
 from satiss.saturation import _CHUNK, SaturationKind, SaturationMap, \
     _column_norms, _draw_states, _s_norm, _sample_blocks, _sat_values, \
-    _sprime_norm, apply_saturation
+    _shift_ratios, _sprime_norm
 from satiss.spaces import random_smooth_values
 
 from conftest import L
+
+POINTWISE, HILBERT = SaturationKind.POINTWISE_LINF, SaturationKind.HILBERT_NORM
 
 
 def test_sat_pointwise_identity_inside_ball():
     g = Grid(L, 32)
     rng = np.random.default_rng(0)
-    z = StateVector(g, rng.uniform(-0.99, 0.99, 32))
-    out = apply_saturation(pointwise_linf_map(1.0, L), z)
-    np.testing.assert_array_equal(out.values, z.values)
+    z = rng.uniform(-0.99, 0.99, 32)
+    np.testing.assert_array_equal(_sat_values(POINTWISE, z, 1.0, g.spacing_h), z)
 
 
 def test_sat_pointwise_clips_two_sine():
     g = Grid(L, 127)
-    z = StateVector(g, 2.0 * np.sin(g.interior_nodes()))
+    z = 2.0 * np.sin(g.interior_nodes())
     for level in (1.0, 0.3):
-        out = apply_saturation(pointwise_linf_map(level, L), z)
-        assert norm_linf(out) == level
+        out = _sat_values(POINTWISE, z, level, g.spacing_h)
+        assert norm_linf(StateVector(g, out)) == level
         # node-wise clamp oracle
-        expected = np.array([min(max(v, -level), level) for v in z.values])
-        np.testing.assert_array_equal(out.values, expected)
+        expected = np.array([min(max(v, -level), level) for v in z])
+        np.testing.assert_array_equal(out, expected)
 
 
 def test_sat_pointwise_monotone_pairs():
@@ -44,31 +44,30 @@ def test_sat_pointwise_monotone_pairs():
 
 def test_sat_hilbert_branches():
     g = Grid(L, 64)
+    h = g.spacing_h
     base = np.sin(2.0 * g.interior_nodes())
-    small = StateVector(g, base * (0.5 / norm_l2(StateVector(g, base))))
-    sigma = hilbert_norm_map(1.0)
-    out = apply_saturation(sigma, small)
-    np.testing.assert_array_equal(out.values, small.values)
+    small = base * (0.5 / norm_l2(StateVector(g, base)))
+    np.testing.assert_array_equal(_sat_values(HILBERT, small, 1.0, h), small)
 
-    big = StateVector(g, base * (2.0 / norm_l2(StateVector(g, base))))
-    out = apply_saturation(sigma, big)
-    np.testing.assert_allclose(out.values, big.values / 2.0, rtol=1e-12)
+    big = base * (2.0 / norm_l2(StateVector(g, base)))
+    out = StateVector(g, _sat_values(HILBERT, big, 1.0, h))
+    np.testing.assert_allclose(out.values, big / 2.0, rtol=1e-12)
     assert norm_l2(out) == pytest.approx(1.0, rel=1e-12)
     assert norm_l2(out) <= 1.0
 
-    zero = StateVector(g, np.zeros(64))
-    np.testing.assert_array_equal(apply_saturation(sigma, zero).values, zero.values)
+    zero = np.zeros(64)
+    np.testing.assert_array_equal(_sat_values(HILBERT, zero, 1.0, h), zero)
 
 
 def test_saturation_idempotent_on_fixed_level():
     g = Grid(L, 48)
     rng = np.random.default_rng(7)
-    for kind_map in (pointwise_linf_map(1.0, L), hilbert_norm_map(1.0)):
+    for kind in (POINTWISE, HILBERT):
         for _ in range(50):
-            z = StateVector(g, rng.uniform(-4.0, 4.0, 48))
-            once = apply_saturation(kind_map, z)
-            twice = apply_saturation(kind_map, once)
-            np.testing.assert_array_equal(twice.values, once.values)
+            z = rng.uniform(-4.0, 4.0, 48)
+            once = _sat_values(kind, z, 1.0, g.spacing_h)
+            twice = _sat_values(kind, once, 1.0, g.spacing_h)
+            np.testing.assert_array_equal(twice, once)
 
 
 def test_saturation_map_validation():
@@ -104,8 +103,6 @@ def test_sweeps_reject_overflowing_amplitude(amplitude):
     sigma = pointwise_linf_map(1.0, L)
     with pytest.raises(ParameterError, match="overflows"):
         check_axioms(sigma, g, 10, amplitude, 0)
-    with pytest.raises(ParameterError, match="overflows"):
-        estimate_item5_C0(sigma, g, 10, amplitude, 0)
 
 
 def test_sweep_accepts_large_finite_amplitude():
@@ -160,27 +157,30 @@ def test_check_axioms_deterministic():
 
 
 def test_estimate_item5_zero_perturbation():
+    # a vanishing s~ gives no ratio, so the sweep's estimate keeps its start 0
     g = Grid(L, 31)
-    sigma = hilbert_norm_map(1.0)
-    assert estimate_item5_C0(sigma, g, 200, 2.0, 0, perturbation_scale=0.0) == 0.0
+    s = np.random.default_rng(0).uniform(-2.0, 2.0, (31, 5))
+    sig_s = _sat_values(HILBERT, s, 1.0, g.spacing_h)
+    assert _shift_ratios(HILBERT, s, np.zeros_like(s), sig_s, 1.0, g.spacing_h).size == 0
 
 
 def test_estimate_item5_hilbert_bound():
+    # the sweep's shift-constant estimate is within the declared C0 = 3 level
+    # and, the samples scaling with the level, proportional to it
     g = Grid(L, 127)
-    expected = {1.0: 0.16558898262922328, 2.0: 0.33117796525844656}
+    est = {level: check_axioms(hilbert_norm_map(level), g, 2000, 3.0 * level,
+                               1).item5_C0_estimate for level in (1.0, 2.0)}
     for level in (1.0, 2.0):
-        sigma = hilbert_norm_map(level)
-        est = estimate_item5_C0(sigma, g, 2000, 3.0 * level, 1)
-        assert 0.0 < est <= 3.0 * level
-        assert est == expected[level]
+        assert 0.0 < est[level] <= 3.0 * level
+    assert est[1.0] == 0.5352565013721595
+    assert est[2.0] == 2.0 * est[1.0]
 
 
 def test_estimate_item5_pointwise_bound():
     g = Grid(L, 127)
-    sigma = pointwise_linf_map(1.0, L)
-    est = estimate_item5_C0(sigma, g, 2000, 3.0, 1)
+    est = check_axioms(pointwise_linf_map(1.0, L), g, 2000, 3.0, 1).item5_C0_estimate
     assert 0.0 < est <= math.sqrt(L) * 1.0 + 1e-10
-    assert est == 0.9579237079364368
+    assert est == 1.2833627951849391
 
 
 def test_level_scaling_of_declared_constants():
@@ -307,14 +307,14 @@ def test_check_axioms_golden_reports(name):
 
 def test_estimate_item5_golden_values():
     # pinned to what a sample-by-sample evaluation gives; the first is the
-    # demo's unit-scale Hilbert estimate
+    # Hilbert estimate the axioms demo prints last
     g = Grid(L, 127)
-    assert estimate_item5_C0(hilbert_norm_map(1.0), g, 5000, 3.0, 1,
-                             perturbation_scale=1.0) == 0.07039303189194941
-    assert estimate_item5_C0(pointwise_linf_map(1.0, L), g, 785, 3.0, 4,
-                             perturbation_scale=0.5) == 0.7930809082114515
-    assert estimate_item5_C0(hilbert_norm_map(1.0), g, 785, 3.0, 4) \
-        == 0.10926100354394463
+
+    def item5(sigma, n_samples, seed):
+        return check_axioms(sigma, g, n_samples, 3.0, seed).item5_C0_estimate
+    assert item5(hilbert_norm_map(1.0), 5000, 1) == 0.5352565013721595
+    assert item5(pointwise_linf_map(1.0, L), 785, 4) == 1.2131175643750869
+    assert item5(hilbert_norm_map(1.0), 785, 4) == 0.05173403804066813
 
 
 def _oracle_sample_values(grid, rng, amplitude):
@@ -329,31 +329,24 @@ def _oracle_sample_values(grid, rng, amplitude):
     return v * (amplitude * rng.uniform(0.2, 1.0) / peak)
 
 
-def _oracle_sample(grid, rng, amplitude, n_states, perturbation_scale):
-    states = [_oracle_sample_values(grid, rng, amplitude) for _ in range(n_states)]
-    scale = rng.uniform(0.0, 1.0) if perturbation_scale is None else perturbation_scale
-    states[-1] = states[-1] * scale
-    return states
+def _oracle_sample(grid, rng, amplitude):
+    """s, t and the randomly scaled s~ of one sample, drawn sample by sample."""
+    s, t, pert = [_oracle_sample_values(grid, rng, amplitude) for _ in range(3)]
+    return s, t, pert * rng.uniform(0.0, 1.0)
 
 
 @pytest.mark.parametrize("amplitude", [3.0, 0.1])
-@pytest.mark.parametrize("n_states, perturbation_scale", [
-    (3, None),   # check_axioms: s, t and a randomly scaled perturbation
-    (2, None),   # estimate_item5_C0
-    (2, 0.5),    # estimate_item5_C0 with a fixed perturbation scale
-])
-def test_phased_sampler_matches_per_sample_oracle(amplitude, n_states, perturbation_scale):
+def test_phased_sampler_matches_per_sample_oracle(amplitude):
     g = Grid(L, 127)
     n_samples, seed = 785, 6
-    columns = [[] for _ in range(n_states)]
-    for blocks in _sample_blocks(g, n_samples, seed, n_states, amplitude, perturbation_scale):
+    columns = [[], [], []]
+    for blocks in _sample_blocks(g, n_samples, seed, amplitude):
         for column, block in zip(columns, blocks):
             assert block.shape[0] == 127 and block.shape[1] <= _CHUNK
             column.extend(block.T.copy())
     rough = 0
     for i in range(n_samples):
-        expected = _oracle_sample(g, np.random.default_rng((seed, i)), amplitude,
-                                  n_states, perturbation_scale)
+        expected = _oracle_sample(g, np.random.default_rng((seed, i)), amplitude)
         for column, state in zip(columns, expected):
             np.testing.assert_array_equal(column[i], state)
             assert np.array_equal(np.signbit(column[i]), np.signbit(state))

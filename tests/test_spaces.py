@@ -5,10 +5,16 @@ import pytest
 import sympy
 
 from satiss import Grid, GridMismatchError, StateVector, build_kdv_operator, \
-    inner_l2, norm_graph, norm_l1, norm_l2, norm_linf, random_smooth_values
+    inner_l2, norm_graph, norm_l2, norm_linf, random_smooth_values
+from satiss.saturation import SaturationKind, _sprime_norm
 from satiss.spaces import _sine_basis, boundary_envelope
 
 from conftest import L, dense_operator, random_states
+
+
+def _l1_norm(z):
+    """h sum |z_j|: the S'-norm the pointwise clamp's axioms read."""
+    return float(_sprime_norm(SaturationKind.POINTWISE_LINF, z.values, z.grid.spacing_h))
 
 
 def test_grid_spacing_invariant():
@@ -86,7 +92,7 @@ def test_norms_zero_state():
     g = Grid(L, 12)
     z = StateVector(g, np.zeros(12))
     assert norm_l2(z) == 0.0
-    assert norm_l1(z) == 0.0
+    assert _l1_norm(z) == 0.0
     assert norm_linf(z) == 0.0
 
 
@@ -95,8 +101,8 @@ def test_norms_constant_closed_forms():
     g = Grid(L, n)
     z = StateVector(g, np.full(n, c))
     assert norm_linf(z) == abs(c)
-    assert norm_l1(z) == pytest.approx(abs(c) * g.spacing_h * n, rel=1e-12)
-    assert norm_l1(z) == pytest.approx(abs(c) * L, rel=1e-2)
+    assert _l1_norm(z) == pytest.approx(abs(c) * g.spacing_h * n, rel=1e-12)
+    assert _l1_norm(z) == pytest.approx(abs(c) * L, rel=1e-2)
     assert norm_l2(z) == pytest.approx(abs(c) * math.sqrt(L), rel=1e-2)
 
 
@@ -117,14 +123,14 @@ def test_hoelder_chain_sampled():
     g = Grid(L, 48)
     root_l = math.sqrt(L)
     for z in random_states(g, 1000, seed=4, amplitude=5.0):
-        assert norm_l1(z) <= root_l * norm_l2(z) * (1.0 + 1e-12)
+        assert _l1_norm(z) <= root_l * norm_l2(z) * (1.0 + 1e-12)
         assert root_l * norm_l2(z) <= L * norm_linf(z) * (1.0 + 1e-12)
 
 
 def test_norms_homogeneous_and_triangle():
     g = Grid(L, 40)
     states = random_states(g, 60, seed=5)
-    for nrm in (norm_l1, norm_l2, norm_linf):
+    for nrm in (_l1_norm, norm_l2, norm_linf):
         for a, b in zip(states[::2], states[1::2]):
             scaled = StateVector(g, -3.5 * a.values)
             assert nrm(scaled) == pytest.approx(3.5 * nrm(a), rel=1e-12)

@@ -7,14 +7,14 @@ import sympy
 
 from scipy import sparse
 
-from satiss import DissipativityGateFailed, Grid, GridMismatchError, \
-    ParameterError, SimulationDiverged, StateVector, assemble_closed_loop, \
-    build_kdv_operator, cosine_disturbance, custom_disturbance, \
+from satiss import DissipativityGateFailed, DisturbanceSignal, Grid, \
+    GridMismatchError, ParameterError, SimulationDiverged, StateVector, \
+    assemble_closed_loop, build_kdv_operator, cosine_disturbance, \
     linear_loop_operator, measure_decay_constant, norm_l2, simulate, \
-    smooth_initial_data, table_disturbance, zero_disturbance
+    smooth_initial_data, zero_disturbance
 from satiss.saturation import hilbert_norm_map, pointwise_linf_map
-from satiss.system import LinearOperator, Trajectory, dissipativity_gate, \
-    dissipativity_tolerance
+from satiss.system import LinearOperator, Trajectory, _ImexStepper, \
+    dissipativity_gate, dissipativity_tolerance
 
 from conftest import L, dense_operator
 
@@ -287,72 +287,45 @@ def test_operator_product_is_the_dense_gemv(n):
 def test_disturbance_kinds(grid127, kdv127, z0_cosine):
     t = 0.7
     zero = zero_disturbance()
-    assert (zero.amplitude, zero.frequency, zero.func) == (0.0, 0.0, None)
-    vals = zero.values_at(t, grid127)
-    assert vals.shape == (127,) and np.all(vals == 0.0)
-
     cos = cosine_disturbance(0.05, 2.0)
-    vals = cos.values_at(t, grid127)
-    assert vals.shape == (127,)
-    assert np.all(vals == 0.05 * math.cos(2.0 * t))
+    assert (zero.amplitude, zero.frequency) == (0.0, 0.0)
+    systems = [assemble_closed_loop(kdv127, None, d) for d in (zero, cos)]
+    vals = _ImexStepper(systems, 1e-3).disturbance(t)
+    assert vals.shape == (127, 2)
+    assert np.all(vals[:, 0] == 0.0)
+    assert np.all(vals[:, 1] == 0.05 * math.cos(2.0 * t))
     # the recorded ||d(t)||: ||const||_L2 = |const| * sqrt(h n)
-    runs = simulate([assemble_closed_loop(kdv127, None, d) for d in (zero, cos)],
-                    [z0_cosine, z0_cosine], 0.01, 1e-3, keep_states=False)
+    runs = simulate(systems, [z0_cosine, z0_cosine], 0.01, 1e-3, keep_states=False)
     assert np.all(runs[0].observables["norm_d"] == 0.0)
     expected = np.abs(0.05 * np.cos(2.0 * runs[1].times)) * math.sqrt(
         grid127.spacing_h * grid127.n_interior)
     np.testing.assert_allclose(runs[1].observables["norm_d"], expected, rtol=1e-12)
 
-    rows = [np.zeros(grid127.n_interior), np.ones(grid127.n_interior)]
-    table = table_disturbance([0.0, 1.0], rows)
-    assert callable(table.func)
-    np.testing.assert_allclose(table.values_at(0.25, grid127),
-                               np.full(grid127.n_interior, 0.25))
-    np.testing.assert_allclose(table.values_at(5.0, grid127), rows[1])
-    np.testing.assert_allclose(table.values_at(-1.0, grid127), rows[0])
 
-    custom = custom_disturbance(lambda s: 0.1 * s)
-    assert np.all(custom.values_at(2.0, grid127) == 0.2)
-    ramp = custom_disturbance(lambda s: s * grid127.interior_nodes())
-    np.testing.assert_array_equal(ramp.values_at(2.0, grid127),
-                                  2.0 * grid127.interior_nodes())
-
-
-def test_disturbance_values_checked_against_grid(grid127):
-    # a table row or a callable value of the wrong length is a grid mismatch,
-    # at the clamped ends and in between
-    short = table_disturbance([0.0, 1.0], [np.zeros(64), np.ones(64)])
-    for t in (-1.0, 0.5, 2.0):
-        with pytest.raises(GridMismatchError, match="shape"):
-            short.values_at(t, grid127)
-    with pytest.raises(GridMismatchError, match="shape"):
-        custom_disturbance(lambda s: np.zeros(3)).values_at(0.0, grid127)
-
-
-def test_table_disturbance_validation(grid127):
-    with pytest.raises(ParameterError):
-        table_disturbance([0.0, 0.0], [np.zeros(127), np.zeros(127)])
-    with pytest.raises(ParameterError):
-        table_disturbance([0.0], [np.zeros(127), np.zeros(127)])
+def _rhs(sys, z, t):
+    """A z - sigma(z + d(t)) of a state (n,), or of each column of a
+    column-major block (n, m), from the stepper's products."""
+    az, u, _ = _ImexStepper([sys], 1e-3).products(z.reshape(len(z), -1), t)
+    return (az - u).reshape(z.shape)
 
 
 def test_closed_loop_rhs_definitions(kdv127, grid127):
     z = StateVector(grid127, 0.4 * np.sin(grid127.interior_nodes()))
 
     linear = assemble_closed_loop(kdv127, None, zero_disturbance())
-    np.testing.assert_allclose(linear.rhs_values(z.values, 0.0),
+    np.testing.assert_allclose(_rhs(linear, z.values, 0.0),
                                kdv127.matrix @ z.values - z.values)
 
     inside = assemble_closed_loop(kdv127, hilbert_norm_map(1.0), zero_disturbance())
     assert norm_l2(z) <= 1.0
-    np.testing.assert_allclose(inside.rhs_values(z.values, 0.0),
+    np.testing.assert_allclose(_rhs(inside, z.values, 0.0),
                                kdv127.matrix @ z.values - z.values)
 
     disturbed = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
                                      cosine_disturbance(0.05, 1.0))
     big = StateVector(grid127, 2.0 * np.sin(grid127.interior_nodes()))
     expected = kdv127.matrix @ big.values - np.clip(big.values + 0.05, -1.0, 1.0)
-    np.testing.assert_allclose(disturbed.rhs_values(big.values, 0.0), expected)
+    np.testing.assert_allclose(_rhs(disturbed, big.values, 0.0), expected)
 
 
 def test_step_equilibrium_and_contraction(kdv127, grid127):
@@ -441,12 +414,8 @@ def test_graph_seminorm_monotone_for_smooth_data(kdv127, grid127):
     sigma = pointwise_linf_map(1.0, L)
     sys_sat = assemble_closed_loop(kdv127, sigma, zero_disturbance())
     traj = simulate(sys_sat, z0, 2.0, 1e-3)
-    h = grid127.spacing_h
-    seminorms = []
-    for i in range(len(traj)):
-        w = sys_sat.rhs_values(traj.states[i], 0.0)
-        seminorms.append(math.sqrt(h * float(np.dot(w, w))))
-    seminorms = np.array(seminorms)
+    w = _rhs(sys_sat, traj.states.T, 0.0)  # one column per recorded state
+    seminorms = np.sqrt(grid127.spacing_h * np.sum(w * w, axis=0))
     rel_increase = np.diff(seminorms) / np.maximum(seminorms[:-1], 1e-300)
     assert np.max(rel_increase) <= 1e-6
 
@@ -494,10 +463,8 @@ def test_trajectory_csv_export(tmp_path, kdv127, grid127, z0_cosine):
                          ids=["pointwise", "hilbert"])
 def test_batched_simulate_matches_member_runs(kdv127, grid127, z0_cosine, sigma):
     # the block differs from single runs only in how the dense product sums
-    x = grid127.interior_nodes()
-    table = table_disturbance([0.0, 0.02, 0.04],
-                              [np.zeros(127), 0.3 * np.sin(x), -0.2 * np.ones(127)])
-    disturbances = [zero_disturbance(), cosine_disturbance(0.1, 1.9), table]
+    disturbances = [zero_disturbance(), cosine_disturbance(0.1, 1.9),
+                    cosine_disturbance(-0.2, 37.0)]
     systems = [assemble_closed_loop(kdv127, sigma, d) for d in disturbances]
     z0s = [StateVector(grid127, s * z0_cosine.values) for s in (0.2, 1.0, 2.0)]
     T, dt = 0.0505, 1e-3  # partial last step
@@ -529,16 +496,16 @@ def test_batched_simulate_rejects_mixed_members(kdv127, z0_cosine):
 
 
 def test_simulate_non_finite_state_raises_diverged(kdv127, z0_cosine):
-    # d turns NaN after t = 5e-3: the half step from t = 5e-3 is the first
-    # to see it, so the state recorded at step 6 is the first non-finite one
+    # d is NaN from t = 0: the recorded state at step 0 is still z0, and the
+    # one at step 1 is the first non-finite one
     sigma = pointwise_linf_map(1.0, L)
     broken = assemble_closed_loop(
-        kdv127, sigma, custom_disturbance(lambda t: math.nan if t > 5e-3 else 0.0))
+        kdv127, sigma, DisturbanceSignal(amplitude=math.nan, frequency=1.0))
     with pytest.raises(SimulationDiverged) as info:
         simulate(broken, z0_cosine, 0.02, 1e-3)
-    assert (info.value.step, info.value.member) == (6, 0)
+    assert (info.value.step, info.value.member) == (1, 0)
     healthy = assemble_closed_loop(kdv127, sigma, zero_disturbance())
-    with pytest.raises(SimulationDiverged, match="member 1 is not finite at step 6"):
+    with pytest.raises(SimulationDiverged, match="member 1 is not finite at step 1"):
         simulate([healthy, broken], [z0_cosine, z0_cosine], 0.02, 1e-3)
 
 
