@@ -30,7 +30,8 @@ from . import iss as iss_mod
 from . import lyapunov as lyap
 from .errors import CertificationError, ConfigError, DissipativityGateFailed, \
     InfeasibleParameters, ParameterError, SimulationDiverged
-from .saturation import check_axioms, hilbert_norm_map, pointwise_linf_map
+from .saturation import _check_sweep, check_axioms, hilbert_norm_map, \
+    pointwise_linf_map
 from .spaces import Grid, StateVector, norm_graph
 from .system import _write_csv, assemble_closed_loop, build_kdv_operator, \
     cosine_disturbance, linear_loop_operator, simulate, zero_disturbance
@@ -188,6 +189,16 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
     if e["time.dt"] * k >= 1.0:
         raise ConfigError("field 'time.dt' violates dt * k < 1 for the explicit "
                           "feedback term (k = %g)" % k)
+    if sigma is None and (e["analysis.axioms"] or e["analysis.dissipation"] == "v1"):
+        key = "analysis.axioms" if e["analysis.axioms"] else "analysis.dissipation"
+        raise ConfigError("field %r needs a saturation map (field "
+                          "'saturation.kind' is 'none')" % key)
+    if e["analysis.axioms"]:
+        try:
+            _check_sweep(e["domain.n_interior"], e["analysis.axioms_samples"],
+                         e["analysis.axioms_amplitude"] * e["saturation.level"])
+        except ParameterError as exc:
+            raise ConfigError("field 'analysis.axioms_amplitude': %s" % exc)
     return config
 
 
@@ -288,9 +299,6 @@ def run_experiment(config: ExperimentConfig, output_dir=None):
         files.append("states.csv")
 
     if config["analysis.axioms"]:
-        if sigma is None:
-            raise ConfigError("analysis.axioms needs a saturation map "
-                              "(field 'saturation.kind' is 'none')")
         report = check_axioms(sigma, grid, config["analysis.axioms_samples"],
                               config["analysis.axioms_amplitude"]
                               * config["saturation.level"], seed)
@@ -334,8 +342,6 @@ def _dissipation_params(config, A, sigma, z0, C, grid, seed):
     if which in ("off", "v"):
         return None
     if which == "v1":
-        if sigma is None:
-            raise ConfigError("analysis.dissipation = v1 needs a saturation map")
         return lyap.case1_params(C, sigma, safety=config["analysis.safety"])
     c_s = lyap.estimate_embedding_constant(grid, n_samples=200, rng_seed=seed)
     r = norm_graph(z0, A)

@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# the clip ufunc itself: np.clip reaches it through Python wrappers
+from numpy._core.umath import clip as _clip
 
 from .errors import ParameterError
 from .spaces import Grid, random_smooth_values
@@ -104,12 +106,21 @@ def _ball_scales(values: np.ndarray, level: float, h: float) -> list:
             for nrm in [math.sqrt(h * s) for s in sums]]
 
 
-def _sat_hilbert_values(values: np.ndarray, level: float, h: float) -> np.ndarray:
+def _sat_values(kind: SaturationKind, values: np.ndarray, level: float, h: float,
+                out: np.ndarray = None) -> np.ndarray:
+    """sigma of one state (n,), or of each column of an (n, m) block whose
+    columns are contiguous (see ``_column_norms``); written into ``out``
+    when given, which may be ``values`` itself."""
+    if kind is SaturationKind.POINTWISE_LINF:
+        return _clip(values, -level, level, out=out)
+    if out is None:
+        out = np.empty_like(values, dtype=float)
     # a scale below 1 marks a column outside the ball
     scale = _ball_scales(values, level, h)
     if not any(map((1.0).__gt__, scale)):
-        return np.array(values, dtype=float)
-    out = values * scale
+        np.copyto(out, values)
+        return out
+    np.multiply(values, scale, out=out)
     # guard against round-up past the ball so that a second application
     # is exactly the identity
     scale = _ball_scales(out, level, h)
@@ -117,14 +128,6 @@ def _sat_hilbert_values(values: np.ndarray, level: float, h: float) -> np.ndarra
         out *= scale
         out *= [1.0 - 2.0**-50 if c < 1.0 else 1.0 for c in scale]
     return out
-
-
-def _sat_values(kind: SaturationKind, values: np.ndarray, level: float, h: float) -> np.ndarray:
-    """sigma of one state (n,), or of each column of an (n, m) block whose
-    columns are contiguous (see ``_column_norms``)."""
-    if kind is SaturationKind.POINTWISE_LINF:
-        return np.clip(values, -level, level)
-    return _sat_hilbert_values(values, level, h)
 
 
 @dataclass
@@ -237,7 +240,7 @@ def _shift_ratios(kind: SaturationKind, s: np.ndarray, pert: np.ndarray,
     return _ratios(h * np.vecdot(s, sig_sp - sig_s, axis=0), _column_norms(pert, h))
 
 
-def _check_sweep(grid: Grid, n_samples: int, amplitude: float):
+def _check_sweep(n_interior: int, n_samples: int, amplitude: float):
     """Reject sweep arguments whose sums would not be finite doubles.
 
     A difference of two samples is at most 2 * amplitude per node, so
@@ -248,9 +251,9 @@ def _check_sweep(grid: Grid, n_samples: int, amplitude: float):
     if not amplitude > 0:
         raise ParameterError("amplitude must be positive")
     width = 2.0 * amplitude
-    if not math.isfinite(grid.n_interior * width * width):
+    if not math.isfinite(n_interior * width * width):
         raise ParameterError("sample amplitude %g overflows the sums of the sweep "
-                             "on %d nodes" % (amplitude, grid.n_interior))
+                             "on %d nodes" % (amplitude, n_interior))
 
 
 def check_axioms(sigma: SaturationMap, grid: Grid, n_samples: int,
@@ -264,7 +267,7 @@ def check_axioms(sigma: SaturationMap, grid: Grid, n_samples: int,
     ``_CHUNK``, one per column; every axiom quantity is a column reduction,
     so the report is the one a sample-by-sample loop gives.
     """
-    _check_sweep(grid, n_samples, amplitude)
+    _check_sweep(grid.n_interior, n_samples, amplitude)
     h = grid.spacing_h
     level = sigma.level
     kind = sigma.kind

@@ -228,16 +228,24 @@ class SaturatedSystem:
         return self.sigma.lipschitz_k if self.sigma is not None else 1.0
 
 
-def _feedback(sigma: SaturationMap, arg: np.ndarray, h: float) -> np.ndarray:
-    """sigma(arg) for a state or a block; sigma = None is the identity."""
-    return arg if sigma is None else _sat_values(sigma.kind, arg, sigma.level, h)
-
-
 def assemble_closed_loop(A: LinearOperator, sigma: SaturationMap,
                          d: DisturbanceSignal = None) -> SaturatedSystem:
     if d is None:
         d = zero_disturbance()
     return SaturatedSystem(A=A, sigma=sigma, d=d)
+
+
+def _half_step(sys0, dt):
+    """(dt, solve) of the half-step system I - dt/2 A."""
+    if dt * sys0.feedback_lipschitz >= 1.0:
+        raise ParameterError(
+            "dt * k = %g >= 1: explicit feedback term needs a smaller step"
+            % (dt * sys0.feedback_lipschitz))
+    try:
+        return dt, splu(sparse.identity(sys0.A.grid.n_interior, format="csc")
+                        - (dt / 2.0) * sys0.A.csc).solve
+    except RuntimeError as exc:
+        raise ParameterError("half-step system is singular: %s" % exc)
 
 
 class _ImexStepper:
@@ -247,55 +255,69 @@ class _ImexStepper:
     zhat = z + dt/2 (A z - sigma(B* z + d(t))).
 
     It advances an (n, m) block of members, one column each, that share A
-    and sigma and differ in d.  Blocks are column-major, so every member's
-    column is contiguous and its reductions (``np.vecdot`` over axis 0) are
-    the BLAS dot that ``np.dot`` applies to a single state; a batch of one
-    reproduces the single-state arithmetic bit for bit.  The half-step
-    system matrix is LU-factored once per (A, dt) and one solve covers all
-    m columns.
+    and sigma and differ in d, over the ``times`` of one run: steps of
+    ``dt``, the last one to ``times[-1]``, LU-factored apart when shorter.
+    Blocks are column-major, so each member's column is contiguous and its
+    reductions are the BLAS dot ``np.dot`` applies to a single state; a
+    batch of one reproduces the single-state arithmetic bit for bit.  One
+    LU factor per (A, dt) and one solve cover all m columns.
+
+    The buffers are allocated once and every step writes into them, in the
+    IEEE order of the expressions above: ``blocks[0..3]`` hold the rows of
+    z, A z, u = sigma(B* z + d) and d (their (n, m) views are ``z``, ``az``,
+    ``u`` and ``d``), two more zhat and the right-hand side.  ``cosines``
+    holds d of each member at each time the loop reads, row 2i at
+    ``times[i]`` and row 2i + 1 at its half-step: (2 steps + 1) m doubles
+    from one ``cos`` call per run.  Each time is computed as a step computes
+    it, so each entry is the per-step ``amplitude * cos(frequency * t)``.
     """
 
-    def __init__(self, systems, dt: float):
+    def __init__(self, systems, dt: float, times: np.ndarray):
         sys0 = systems[0]
-        if not dt > 0:
-            raise ParameterError("dt must be positive")
-        if dt * sys0.feedback_lipschitz >= 1.0:
-            raise ParameterError(
-                "dt * k = %g >= 1: explicit feedback term needs a smaller step"
-                % (dt * sys0.feedback_lipschitz))
-        self.dt = dt
-        self.grid = sys0.A.grid
-        self._A = sys0.A
-        self._sigma = sys0.sigma
-        # the members' cosines as (m,) amplitude and frequency vectors
-        self._amplitude = np.array([s.d.amplitude for s in systems])
-        self._frequency = np.array([s.d.frequency for s in systems])
-        n = self.grid.n_interior
-        m = sparse.identity(n, format="csc") - (dt / 2.0) * sys0.A.csc
-        try:
-            self._solve = splu(m).solve
-        except RuntimeError as exc:
-            raise ParameterError("half-step system is singular: %s" % exc)
+        self._A, self._sigma, self._h = sys0.A, sys0.sigma, sys0.A.grid.spacing_h
+        step = _half_step(sys0, dt)
+        last_dt = float(times[-1] - times[-2])
+        last = step if abs(last_dt - dt) <= 1e-12 * dt else _half_step(sys0, last_dt)
+        self._steps = [step] * (len(times) - 2) + [last]  # (dt, solve) per step
+        at = np.repeat(times, 2)[:-1]  # t_i, then t_i + dt/2 for i < steps
+        at[1::2] += 0.5 * dt
+        at[-2] = times[-2] + 0.5 * last[0]
+        amplitude = np.array([s.d.amplitude for s in systems])
+        frequency = np.array([s.d.frequency for s in systems])
+        self.cosines = amplitude * np.cos(frequency * at[:, None])
+        n, m = sys0.A.grid.n_interior, len(systems)
+        self.blocks = np.zeros((4, m, n))
+        self.z, self.az, self.u, self.d = (block.T for block in self.blocks)
+        self._zhat, self._rhs = (block.T for block in np.empty((2, m, n)))
 
-    def disturbance(self, t: float) -> np.ndarray:
-        """d(t) of every member as an (n, m) block."""
-        out = np.empty((self.grid.n_interior, len(self._amplitude)), order="F")
-        out[:] = self._amplitude * np.cos(self._frequency * t)
-        return out
+    def _saturate(self, values):
+        """sigma(values) in place; sigma = None is the identity."""
+        if self._sigma is not None:
+            _sat_values(self._sigma.kind, values, self._sigma.level, self._h, out=values)
 
-    def products(self, z: np.ndarray, t: float):
-        """(A z, sigma(B* z + d(t)), d(t)) for a block z at time t."""
-        d = self.disturbance(t)
-        return self._A @ z, _feedback(self._sigma, z + d, self.grid.spacing_h), d
+    def evaluate(self, i: int):
+        """Fill d, A z and u = sigma(B* z + d) at ``times[i]`` from z."""
+        d = self.cosines[2 * i]
+        self.d[...] = d
+        self.az[...] = self._A @ self.z
+        np.add(self.z, d, out=self.u)
+        self._saturate(self.u)
 
-    def advance(self, z: np.ndarray, t: float, az: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The block at t + dt, from z and its products az = A z and
-        u = sigma(B* z + d(t))."""
-        dt = self.dt
-        zhat = z + 0.5 * dt * (az - u)
-        um = _feedback(self._sigma, zhat + self.disturbance(t + 0.5 * dt),
-                       self.grid.spacing_h)
-        return self._solve(z + 0.5 * dt * az - dt * um)
+    def advance(self, i: int):
+        """Step z from ``times[i]`` to ``times[i + 1]``, reading the blocks
+        ``evaluate(i)`` filled."""
+        dt, solve = self._steps[i]
+        zhat, rhs = self._zhat, self._rhs
+        np.subtract(self.az, self.u, out=zhat)
+        zhat *= 0.5 * dt
+        zhat += self.z
+        zhat += self.cosines[2 * i + 1]
+        self._saturate(zhat)  # the midpoint feedback u_m
+        np.multiply(self.az, 0.5 * dt, out=rhs)
+        rhs += self.z
+        zhat *= dt
+        rhs -= zhat
+        self.z[...] = solve(rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,27 +363,22 @@ def _write_csv(path, header, columns):
             fh.write("".join(row % tuple(r) for r in block.tolist()))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _sums_of_squares(blocks, out):
-    """out[k] = the column sums of squares of blocks[k].  A sum that
-    overflows stays non-finite, without a warning: ``simulate`` checks the
-    recorded sums after its loop and reports them as a divergence."""
-    for k, block in enumerate(blocks):
-        np.vecdot(block, block, axis=0, out=out[k])
-
-
 def simulate(sys, z0, T: float, dt: float, keep_states: bool = True):
     """Integrate the closed loop over [0, T] and record observables per step.
 
     ``sys`` and ``z0`` are one system and one initial state, giving one
     Trajectory, or equal-length lists of them, giving one Trajectory per
     member; the listed systems must share ``A`` and ``sigma`` and may differ
-    in ``d``.  All members advance together as one block.  V is recorded as
+    in ``d``.  All members advance together as one block, in the buffers of
+    one ``_ImexStepper``, with d read from its cosine table: under 2 m
+    (steps + 1) doubles, as many as the recorded norms.  V is recorded as
     ||z||^2; V1 and V2 are recorded as NaN, to be filled from the recorded
     norms by the functions of ``lyapunov.trajectory_observers``.  With
     ``keep_states=False`` the state history is not stored and
     ``Trajectory.states`` is None.  A non-finite recorded state or norm
-    raises SimulationDiverged.
+    raises SimulationDiverged.  Overflow and invalid-operation warnings are
+    off in the step loop alone: what overflows there stays non-finite and
+    is reported by those checks.
     """
     batch = isinstance(sys, (list, tuple))
     systems = list(sys) if batch else [sys]
@@ -382,36 +399,29 @@ def simulate(sys, z0, T: float, dt: float, keep_states: bool = True):
     h = grid.spacing_h
 
     n_steps = max(1, int(math.ceil(T / dt - 1e-9)))
-    last_dt = T - (n_steps - 1) * dt
-    stepper = _ImexStepper(systems, dt)
-    same_last = abs(last_dt - dt) <= 1e-12 * dt
-    stepper_last = stepper if same_last else _ImexStepper(systems, last_dt)
+    times = np.arange(n_steps + 1) * dt
+    times[-1] = T
+    stepper = _ImexStepper(systems, dt, times)
 
     m = len(systems)
-    times = np.empty(n_steps + 1)
     states = np.empty((m, n_steps + 1, grid.n_interior)) if keep_states else None
     # per member and step: max |z| and the sums of squares of z, A z,
-    # u = sigma(B* z + d) and d, all read from the step's own products
+    # u = sigma(B* z + d) and d, all read from the step's own blocks
     linf = np.empty((m, n_steps + 1))
     squares = np.empty((4, m, n_steps + 1))
 
-    z = np.array([z0_j.values for z0_j in z0s]).T  # column-major (n, m) block
-    t = 0.0
-    for i in range(n_steps + 1):
-        az, u, d = stepper.products(z, t)
-        np.abs(z).max(axis=0, out=linf[:, i])
-        if not math.isfinite(linf[:, i].max()):
-            raise SimulationDiverged(i, int(np.argmin(np.isfinite(linf[:, i]))))
-        times[i] = t
-        if keep_states:
-            states[:, i] = z.T
-        _sums_of_squares((z, az, u, d), squares[:, :, i])
-        if i < n_steps - 1:
-            z = stepper.advance(z, t, az, u)
-            t = (i + 1) * dt
-        elif i == n_steps - 1:
-            z = stepper_last.advance(z, t, az, u)
-            t = T
+    stepper.z[...] = np.array([z0_j.values for z0_j in z0s]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps + 1):
+            stepper.evaluate(i)
+            np.abs(stepper.z).max(axis=0, out=linf[:, i])
+            if not math.isfinite(linf[:, i].max()):
+                raise SimulationDiverged(i, int(np.argmin(np.isfinite(linf[:, i]))))
+            if keep_states:
+                states[:, i] = stepper.z.T
+            np.vecdot(stepper.blocks, stepper.blocks, out=squares[:, :, i])
+            if i < n_steps:
+                stepper.advance(i)
     times.setflags(write=False)
     if keep_states:
         states.setflags(write=False)

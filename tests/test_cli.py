@@ -255,6 +255,27 @@ def test_cli_out_of_range_field_writes_nothing(tmp_path, capsys, extra, message)
     assert not out.exists() or os.listdir(out) == []
 
 
+@pytest.mark.parametrize("kind, extra, message", [
+    ("none", "analysis.axioms = true\n",
+     "field 'analysis.axioms' needs a saturation map (field 'saturation.kind' is 'none')"),
+    ("pointwise_linf", "analysis.axioms = true\nanalysis.axioms_amplitude = 1e300\n",
+     "field 'analysis.axioms_amplitude': sample amplitude 1e+300 overflows the sums "
+     "of the sweep on 31 nodes"),
+    ("none", "analysis.dissipation = v1\n",
+     "field 'analysis.dissipation' needs a saturation map "
+     "(field 'saturation.kind' is 'none')"),
+], ids=["axioms_without_saturation", "overflowing_axiom_amplitude",
+        "v1_without_saturation"])
+def test_cli_two_field_rule_makes_no_output_dir(tmp_path, capsys, kind, extra, message):
+    # rules that compare two fields are checked with the schema rows, before
+    # the output directory is made
+    out = tmp_path / "rule_out"
+    body = MINIMAL.format(out=out).replace("pointwise_linf", kind) + extra
+    assert main(["run", str(write_config(tmp_path, body))]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
+    assert not out.exists()
+
+
 def test_cli_axioms_negative_seed_is_config_error(capsys):
     assert main(["axioms", "hilbert", "1.0", "--samples", "3", "--seed", "-1"]) == 2
     captured = capsys.readouterr()

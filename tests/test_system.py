@@ -1,4 +1,6 @@
+import hashlib
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -12,6 +14,8 @@ from satiss import DissipativityGateFailed, DisturbanceSignal, Grid, \
     assemble_closed_loop, build_kdv_operator, cosine_disturbance, \
     linear_loop_operator, measure_decay_constant, norm_l2, simulate, \
     smooth_initial_data, zero_disturbance
+from satiss.cli import main
+from satiss.iss import gronwall_gap
 from satiss.saturation import hilbert_norm_map, pointwise_linf_map
 from satiss.system import LinearOperator, Trajectory, _ImexStepper, \
     dissipativity_gate, dissipativity_tolerance
@@ -290,7 +294,9 @@ def test_disturbance_kinds(grid127, kdv127, z0_cosine):
     cos = cosine_disturbance(0.05, 2.0)
     assert (zero.amplitude, zero.frequency) == (0.0, 0.0)
     systems = [assemble_closed_loop(kdv127, None, d) for d in (zero, cos)]
-    vals = _ImexStepper(systems, 1e-3).disturbance(t)
+    stepper = _ImexStepper(systems, t, np.array([0.0, t]))
+    stepper.evaluate(1)
+    vals = stepper.d
     assert vals.shape == (127, 2)
     assert np.all(vals[:, 0] == 0.0)
     assert np.all(vals[:, 1] == 0.05 * math.cos(2.0 * t))
@@ -302,11 +308,51 @@ def test_disturbance_kinds(grid127, kdv127, z0_cosine):
     np.testing.assert_allclose(runs[1].observables["norm_d"], expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 2, 20])
+@pytest.mark.parametrize("T", [0.5, 0.0105, 1e-3], ids=["full", "partial_last", "one_step"])
+def test_cosine_table_is_the_per_step_cosine(m, T):
+    # the stepper's table, byte for byte, against amplitude * cos(frequency
+    # * t) at the times a step loop forms one by one: t = (i + 1) dt, the
+    # last t = T, and the half-step t + dt/2 with the last dt on the last step
+    dt = 1e-3
+    A = build_kdv_operator(Grid(L, 7))
+    rng = np.random.default_rng(m)
+    amplitude = rng.uniform(-1.0, 1.0, m)
+    frequency = rng.uniform(-40.0, 40.0, m)
+    amplitude[-1] = -abs(amplitude[-1])
+    if m > 1:
+        amplitude[0], frequency[0] = -0.05, 0.0  # a constant d
+    if m > 2:
+        amplitude[1] = -0.0  # d = -0.0 or 0.0 with the sign of the cosine
+    systems = [assemble_closed_loop(A, None, DisturbanceSignal(a, f))
+               for a, f in zip(amplitude, frequency)]
+    zero = StateVector(A.grid, np.zeros(7))
+    times = simulate(systems, [zero] * m, T, dt, keep_states=False)[0].times
+    n_steps = len(times) - 1
+    last_dt = T - (n_steps - 1) * dt
+    if abs(last_dt - dt) <= 1e-12 * dt:
+        last_dt = dt
+    expected, t = [], 0.0
+    for i in range(n_steps + 1):
+        assert times[i] == t
+        expected.append(amplitude * np.cos(frequency * t))
+        if i < n_steps:
+            step = dt if i < n_steps - 1 else last_dt
+            expected.append(amplitude * np.cos(frequency * (t + 0.5 * step)))
+            t = (i + 1) * dt if i < n_steps - 1 else T
+    cosines = _ImexStepper(systems, dt, times).cosines
+    assert cosines.shape == (2 * n_steps + 1, m)
+    assert cosines.tobytes() == np.array(expected).tobytes()
+
+
 def _rhs(sys, z, t):
     """A z - sigma(z + d(t)) of a state (n,), or of each column of a
-    column-major block (n, m), from the stepper's products."""
-    az, u, _ = _ImexStepper([sys], 1e-3).products(z.reshape(len(z), -1), t)
-    return (az - u).reshape(z.shape)
+    column-major block (n, m), from the blocks the stepper fills at t."""
+    block = z.reshape(len(z), -1)
+    stepper = _ImexStepper([sys] * block.shape[1], 1e-3, np.array([t, t + 1e-3]))
+    stepper.z[...] = block
+    stepper.evaluate(0)
+    return (stepper.az - stepper.u).reshape(z.shape)
 
 
 def test_closed_loop_rhs_definitions(kdv127, grid127):
@@ -522,3 +568,55 @@ def test_simulate_non_finite_norm_raises_diverged():
         simulate(sys_sat, z0, 2e-3, 1e-3)
     assert (info.value.step, info.value.member, info.value.quantity) \
         == (0, 0, "norm_graph")
+
+
+# sha256 of the artifacts of four runs at n = 127, T = 0.5, as written when
+# each step evaluated d, sigma and the sums of squares with freshly
+# allocated arrays: the step loop's buffers and cosine table reproduce them
+# byte for byte
+_INTEGRATOR_DIGESTS = {
+    "pointwise_disturbed": (
+        "23fe956a49241113078a1e4be62108aeeebdea6a21fccf7590def61df03e0a50",
+        "7e131bd1d124fac4c934f84863941baf92eb3cbad5e1171c5cd4839d02edff74"),
+    "linear_undisturbed": (
+        "c87732722cd1b3c05fb376317b8a82a0deb5b30491fd4cb3057b31290b610c7a",
+        "303caee11e421bd26c2b6e4cb56eeab2d2ca04eeef08c2a43d18efd5fb1afdc2"),
+    "hilbert_gap": (
+        "f0e15cfa8aa65c344024c120412e13435fdf680083fac1a11ecbe6094d8fc327",),
+    "certify": (
+        "3f332d7a7fb3c0c3c48dca064c01ba40a53ef7006bbc6fc831bc257abe8e1e03",),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INTEGRATOR_DIGESTS))
+def test_integrator_artifacts_golden(tmp_path, capsys, kdv127, grid127, z0_cosine, case):
+    T, dt = 0.5, 1e-3
+    if case == "certify":
+        path = os.path.join(os.path.dirname(__file__), "..", "demos", "configs",
+                            "certify.cfg")
+        with open(path) as fh:
+            text = fh.read().replace("time.T = 9.0", "time.T = 0.5")
+        assert "time.T = 0.5" in text
+        config = tmp_path / "certify.cfg"
+        config.write_text(text.replace("out_certify", str(tmp_path / "certify")))
+        assert main(["certify", str(config)]) == 0
+        capsys.readouterr()
+        names = [tmp_path / "certify" / "certificate.txt"]
+    elif case == "hilbert_gap":
+        loop = assemble_closed_loop(kdv127, hilbert_norm_map(1.0))
+        z0 = StateVector(grid127, 2.0 * z0_cosine.values)
+        gronwall_gap(loop, z0, cosine_disturbance(0.05, 1.0), T, dt).write_csv(
+            tmp_path / "gap.csv")
+        names = [tmp_path / "gap.csv"]
+    else:
+        if case == "linear_undisturbed":
+            loop = assemble_closed_loop(kdv127, None, zero_disturbance())
+        else:
+            loop = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
+                                        cosine_disturbance(0.05, 1.0))
+        traj = simulate(loop, z0_cosine, T, dt)
+        names = [tmp_path / "states.csv", tmp_path / "observables.csv"]
+        traj.write_states_csv(names[0])
+        traj.write_observables_csv(names[1])
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in names)
+    assert digests == _INTEGRATOR_DIGESTS[case]
