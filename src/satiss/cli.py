@@ -28,13 +28,14 @@ import numpy as np
 
 from . import iss as iss_mod
 from . import lyapunov as lyap
+from .csvio import write_csv
 from .errors import CertificationError, ConfigError, DissipativityGateFailed, \
     InfeasibleParameters, ParameterError, SimulationDiverged
 from .saturation import _check_sweep, check_axioms, hilbert_norm_map, \
     pointwise_linf_map
 from .spaces import Grid, StateVector, norm_graph
-from .system import _write_csv, assemble_closed_loop, build_kdv_operator, \
-    cosine_disturbance, linear_loop_operator, simulate, zero_disturbance
+from .system import assemble_closed_loop, build_kdv_operator, cosine_disturbance, \
+    linear_loop_operator, simulate, zero_disturbance
 
 OUTPUT_ROOT_ENV = "SATISS_OUTPUT_ROOT"
 
@@ -193,6 +194,15 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         key = "analysis.axioms" if e["analysis.axioms"] else "analysis.dissipation"
         raise ConfigError("field %r needs a saturation map (field "
                           "'saturation.kind' is 'none')" % key)
+    family = e["initial.family"]
+    zero = [key for key, is_zero in (
+        ("initial.family", family == "zero"),
+        ("initial.amplitude", family != "smooth_random" and e["initial.amplitude"] == 0),
+        ("initial.mode", family == "sine_mode" and e["initial.mode"] == 0)) if is_zero]
+    if e["analysis.dissipation"] == "v2" and zero:
+        # the V2 constants take r, the initial graph norm, as a positive bound
+        raise ConfigError("field 'analysis.dissipation' = v2 needs a nonzero "
+                          "initial state (field %r makes it zero)" % zero[0])
     if e["analysis.axioms"]:
         try:
             _check_sweep(e["domain.n_interior"], e["analysis.axioms_samples"],
@@ -276,9 +286,6 @@ def run_experiment(config: ExperimentConfig, output_dir=None):
     Returns the list of files written (relative to the output directory).
     Deterministic for a fixed (config, rng_seed): identical bytes per run.
     """
-    outdir = _make_output_dir(output_dir or config["output_dir"])
-    files = []
-
     grid, A, sys_loop = _closed_loop(config)
     sigma = sys_loop.sigma
     z0 = _initial_state(config, grid, A)
@@ -287,6 +294,9 @@ def run_experiment(config: ExperimentConfig, output_dir=None):
 
     C = lyap.measure_decay_constant(linear_loop_operator(A))
     params = _dissipation_params(config, A, sigma, z0, C, grid, seed)
+
+    outdir = _make_output_dir(output_dir or config["output_dir"])
+    files = []
 
     traj = simulate(sys_loop, z0, T, dt, keep_states=config["output.states"])
     if params:
@@ -426,10 +436,10 @@ def reproduce_figure1(output_dir):
     files.append("figure1_states.csv")
     disturbed.write_observables_csv(os.path.join(outdir, "figure1_observables.csv"))
     files.append("figure1_observables.csv")
-    _write_csv(os.path.join(outdir, "figure1_norms.csv"),
-               ("t", "norm_disturbed", "norm_linear"),
-               [disturbed.times, disturbed.observables["norm_l2"],
-                linear.observables["norm_l2"]])
+    write_csv(os.path.join(outdir, "figure1_norms.csv"),
+              ("t", "norm_disturbed", "norm_linear"),
+              [disturbed.times, disturbed.observables["norm_l2"],
+               linear.observables["norm_l2"]])
     files.append("figure1_norms.csv")
     config_lines = [
         "config preset = figure1",

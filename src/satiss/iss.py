@@ -26,10 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import CertificationError, ParameterError
 from .spaces import Grid, StateVector, norm_graph, norm_l2, random_smooth_values
-from .system import SaturatedSystem, Trajectory, _write_csv, simulate, \
-    zero_disturbance
+from .system import SaturatedSystem, Trajectory, simulate, zero_disturbance
 
 
 def smooth_initial_data(grid: Grid, A, target_graph_norm: float, rng) -> StateVector:
@@ -61,8 +61,8 @@ class GapReport:
     conservative_violations: int
 
     def write_csv(self, path):
-        _write_csv(path, ("t", "gap", "paper_bound", "conservative_bound"),
-                   [self.times, self.gap, self.plain_bound, self.conservative_bound])
+        write_csv(path, ("t", "gap", "paper_bound", "conservative_bound"),
+                  [self.times, self.gap, self.plain_bound, self.conservative_bound])
 
 
 def _bound_violations(values, bounds):

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import InfeasibleParameters, ParameterError
 from .spaces import Grid, StateVector, norm_graph, norm_linf, random_smooth_values
-from .system import LinearOperator, Trajectory, _write_csv, build_kdv_operator
+from .system import LinearOperator, Trajectory, build_kdv_operator
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,8 +184,8 @@ class DissipationReport:
     worst_margin: float
 
     def write_csv(self, path):
-        _write_csv(path, ("t", "V", "dVdt", "bound", "margin"),
-                   [self.times, self.V, self.dVdt, self.bound, self.margin])
+        write_csv(path, ("t", "V", "dVdt", "bound", "margin"),
+                  [self.times, self.V, self.dVdt, self.bound, self.margin])
 
 
 def dissipation_report(traj: Trajectory, which: str, alpha_coeff: float,

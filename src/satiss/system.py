@@ -21,6 +21,7 @@ from scipy import sparse
 from scipy.linalg import eigvals_banded
 from scipy.sparse.linalg import splu
 
+from .csvio import write_csv
 from .errors import DissipativityGateFailed, GridMismatchError, ParameterError, \
     SimulationDiverged
 from .saturation import SaturationMap, _sat_values
@@ -337,30 +338,13 @@ class Trajectory:
 
     def write_observables_csv(self, path):
         cols = self.OBSERVABLE_COLUMNS
-        _write_csv(path, ("t",) + cols,
-                   [self.times] + [self.observables[c] for c in cols])
+        write_csv(path, ("t",) + cols,
+                  [self.times] + [self.observables[c] for c in cols])
 
     def write_states_csv(self, path):
         n = self.grid.n_interior
-        _write_csv(path, ["t"] + ["z%d" % j for j in range(1, n + 1)],
-                   [self.times, self.states])
-
-
-#: Rows formatted per batch by ``_write_csv``.  A batch's Python floats and
-#: strings stay near 0.4 MB at 128 columns; batches of 512 rows raised the
-#: peak RSS of ``satiss figure1`` from 82 to 89 MB.
-_CSV_BATCH = 64
-
-
-def _write_csv(path, header, columns):
-    """Write equal-length columns (1-D, or 2-D for several) under a header,
-    every value as %.17g, which reads back bit for bit."""
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _CSV_BATCH):
-            block = np.column_stack([c[start:start + _CSV_BATCH] for c in columns])
-            fh.write("".join(row % tuple(r) for r in block.tolist()))
+        write_csv(path, ["t"] + ["z%d" % j for j in range(1, n + 1)],
+                  [self.times, self.states])
 
 
 def simulate(sys, z0, T: float, dt: float, keep_states: bool = True):

@@ -109,10 +109,26 @@ def test_output_root_env_override(tmp_path, monkeypatch):
     assert (tmp_path / "nested" / "exp" / "trajectory.csv").exists()
 
 
+# sha256 of the four artifacts of the `satiss figure1` preset (T = 9, the
+# full state history), as written when every CSV value was formatted one at
+# a time by '%.17g'
+_FIGURE1_DIGESTS = {
+    "figure1_norms.csv":
+        "4adb7f4766bc9c4989efe2137a222482a217dcc5eaa861fba407707d0c15ff95",
+    "figure1_observables.csv":
+        "cd4cac0f4fe44731e52cf445b4a8c5c36e55cebf89c55845ebae495107348a0e",
+    "figure1_states.csv":
+        "9ee0abd92c583ac0aba1e105ea724630d7ad610971f4ac011b9ecf3d3231b56c",
+    "manifest.txt":
+        "8361ebec3c11035f60c560a163ef597f7bae36524a9bb734259c5d2325be7e4d",
+}
+
+
 def test_figure1_artifacts_and_decay(tmp_path):
     outdir, files = reproduce_figure1(str(tmp_path / "fig"))
-    assert sorted(files) == ["figure1_norms.csv", "figure1_observables.csv",
-                             "figure1_states.csv", "manifest.txt"]
+    assert sorted(files) == sorted(_FIGURE1_DIGESTS)
+    assert {name: hashlib.sha256((tmp_path / "fig" / name).read_bytes()).hexdigest()
+            for name in files} == _FIGURE1_DIGESTS
     rows = np.loadtxt(os.path.join(outdir, "figure1_norms.csv"),
                       delimiter=",", skiprows=1)
     t, disturbed, linear = rows[:, 0], rows[:, 1], rows[:, 2]
@@ -264,8 +280,19 @@ def test_cli_out_of_range_field_writes_nothing(tmp_path, capsys, extra, message)
     ("none", "analysis.dissipation = v1\n",
      "field 'analysis.dissipation' needs a saturation map "
      "(field 'saturation.kind' is 'none')"),
+    ("pointwise_linf", "analysis.dissipation = v2\ninitial.family = zero\n",
+     "field 'analysis.dissipation' = v2 needs a nonzero initial state "
+     "(field 'initial.family' makes it zero)"),
+    ("pointwise_linf", "analysis.dissipation = v2\ninitial.amplitude = 0\n",
+     "field 'analysis.dissipation' = v2 needs a nonzero initial state "
+     "(field 'initial.amplitude' makes it zero)"),
+    ("pointwise_linf", "analysis.dissipation = v2\ninitial.family = sine_mode\n"
+     "initial.mode = 0\n",
+     "field 'analysis.dissipation' = v2 needs a nonzero initial state "
+     "(field 'initial.mode' makes it zero)"),
 ], ids=["axioms_without_saturation", "overflowing_axiom_amplitude",
-        "v1_without_saturation"])
+        "v1_without_saturation", "v2_zero_family", "v2_zero_amplitude",
+        "v2_zero_mode"])
 def test_cli_two_field_rule_makes_no_output_dir(tmp_path, capsys, kind, extra, message):
     # rules that compare two fields are checked with the schema rows, before
     # the output directory is made
@@ -273,6 +300,18 @@ def test_cli_two_field_rule_makes_no_output_dir(tmp_path, capsys, kind, extra, m
     body = MINIMAL.format(out=out).replace("pointwise_linf", kind) + extra
     assert main(["run", str(write_config(tmp_path, body))]) == 2
     assert capsys.readouterr().err == "config error: %s\n" % message
+    assert not out.exists()
+
+
+def test_cli_v2_with_underflowing_initial_state_makes_no_output_dir(tmp_path, capsys):
+    # a nonzero amplitude whose state has a graph norm of 0 is refused after
+    # the state is built, still before the output directory is made
+    out = tmp_path / "v2_out"
+    body = MINIMAL.format(out=out) + ("analysis.dissipation = v2\n"
+                                      "initial.amplitude = 1e-320\n")
+    assert main(["run", str(write_config(tmp_path, body))]) == 2
+    assert capsys.readouterr().err == ("config error: analysis.dissipation = v2 needs "
+                                       "a nonzero initial state\n")
     assert not out.exists()
 
 
