@@ -295,13 +295,13 @@ def run_experiment(config: ExperimentConfig, output_dir=None):
     C = lyap.measure_decay_constant(linear_loop_operator(A))
     params = _dissipation_params(config, A, sigma, z0, C, grid, seed)
 
-    outdir = _make_output_dir(output_dir or config["output_dir"])
-    files = []
-
     traj = simulate(sys_loop, z0, T, dt, keep_states=config["output.states"])
     if params:
         traj.observables.update((name, series(traj)) for name, series
                                 in lyap.trajectory_observers(params).items())
+    # made only now, so that a refused config or a diverged run leaves none
+    outdir = _make_output_dir(output_dir or config["output_dir"])
+    files = []
     traj.write_observables_csv(os.path.join(outdir, "trajectory.csv"))
     files.append("trajectory.csv")
     if config["output.states"]:
@@ -498,11 +498,11 @@ def _cmd_axioms(args):
 
 def _cmd_certify(args):
     config = parse_config(args.config)
-    outdir = _make_output_dir(config["output_dir"])
     grid, A, sys_loop = _closed_loop(config)
-    files = []
     cert = _run_certificate(config, sys_loop, grid, A, config["time.T"],
                             config["time.dt"])
+    outdir = _make_output_dir(config["output_dir"])
+    files = []
     _write_text(outdir, files, "certificate.txt", cert.as_kv_text())
     _write_manifest(outdir, config.echo_lines, files)
     sys.stdout.write(cert.as_kv_text())

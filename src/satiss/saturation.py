@@ -154,54 +154,53 @@ class AxiomReport:
 
 
 #: Samples per block of the axiom sweep: a few hundred kB per block array,
-#: whatever the sample count.
+#: whatever the sample count.  Part of the stream contract: block b draws
+#: from its own generator, so another block size draws other samples.
 _CHUNK = 256
 
 
-def _draw_states(grid: Grid, rngs, amplitude: float, out: np.ndarray):
-    """Fill ``out[i]`` with one random state drawn from ``rngs[i]``.
+def _draw_states(grid: Grid, rng, amplitude: float, out: np.ndarray):
+    """Fill the m rows of ``out`` with random states drawn from ``rng``.
 
     A state is rough (node-wise uniform) or a smooth sine mixture scaled to a
     random fraction of ``amplitude``, with equal odds; both families are
-    needed, since the axioms must hold on all of U.  The streams are walked
-    in phases, one per draw: the family choice (and a rough row), the series
-    coefficients, then the scale fraction, which a stream draws only when its
-    series has a nonzero peak.  Each stream thus draws what a one-state
-    sampler would draw, in the same order, and the arithmetic on the drawn
-    values is done once per block with the same operations per row.
+    needed, since the axioms must hold on all of U.  The draws are four
+    whole-block calls, in this order: the family choices ``random(m) < 0.5``
+    (True is rough), the k rough rows ``uniform(-a, a, (k, n))``, the
+    ``(m - k, 8)`` series coefficients and the scale fractions
+    ``uniform(0.2, 1, m - k)``, handed out to the rough and the smooth rows
+    in row order.  A smooth row whose series has a zero peak is the zero
+    state.  Each row is what the single-state formulas give on its draws.
     """
-    n = grid.n_interior
-    smooth = []
-    for i, rng in enumerate(rngs):
-        if rng.random() < 0.5:
-            out[i] = rng.uniform(-amplitude, amplitude, n)
-        else:
-            smooth.append(i)
-    v = random_smooth_values(grid, [rngs[i] for i in smooth], n_modes=8, mode_decay=1.5)
+    m, n = out.shape
+    rough = rng.random(m) < 0.5
+    k = int(np.count_nonzero(rough))
+    out[rough] = rng.uniform(-amplitude, amplitude, (k, n))
+    v = random_smooth_values(grid, rng, n_modes=8, mode_decay=1.5, size=m - k)
+    fraction = rng.uniform(0.2, 1.0, m - k)
     peak = np.abs(v).max(axis=1)
-    live = peak != 0.0
-    rows = np.array(smooth, dtype=np.intp)
-    fraction = np.array([rngs[i].uniform(0.2, 1.0) for i in rows[live]])
-    out[rows[live]] = v[live] * (amplitude * fraction / peak[live])[:, None]
-    out[rows[~live]] = 0.0
+    scale = np.divide(amplitude * fraction, peak, out=np.zeros(m - k), where=peak != 0.0)
+    out[~rough] = v * scale[:, None]
 
 
 def _sample_blocks(grid: Grid, n_samples: int, rng_seed: int, amplitude: float):
     """Yield (s, t, s~) triples of (n, m) blocks of at most ``_CHUNK`` samples.
 
-    Sample i draws s, t and s~ from its own stream ``default_rng((rng_seed,
-    i))``, in that order, and then the factor ``uniform(0, 1)`` that scales
-    its s~.  So column i of each block is the state a per-sample evaluation
-    would see.  The columns are the contiguous rows of a C-order array; the
-    yielded views are overwritten by the next block.
+    Block b holds samples ``_CHUNK * b`` onwards and draws everything from
+    one generator ``default_rng((rng_seed, b))``: the states s, t and s~,
+    each as ``_draw_states`` draws them, then the factors ``uniform(0, 1,
+    m)`` that scale the s~.  So the samples depend on ``_CHUNK``, and not
+    on the order in which the blocks are evaluated.  The columns are the
+    contiguous rows of a C-order array; the yielded views are overwritten
+    by the next block.
     """
     arrays = [np.empty((_CHUNK, grid.n_interior)) for _ in range(3)]
-    for start in range(0, n_samples, _CHUNK):
+    for block, start in enumerate(range(0, n_samples, _CHUNK)):
         m = min(_CHUNK, n_samples - start)
-        rngs = [np.random.default_rng((rng_seed, start + i)) for i in range(m)]
+        rng = np.random.default_rng((rng_seed, block))
         for array in arrays:
-            _draw_states(grid, rngs, amplitude, array)
-        arrays[-1][:m] *= np.array([rng.uniform(0.0, 1.0) for rng in rngs])[:, None]
+            _draw_states(grid, rng, amplitude, array[:m])
+        arrays[-1][:m] *= rng.uniform(0.0, 1.0, m)[:, None]
         yield [array[:m].T for array in arrays]
 
 
@@ -261,11 +260,13 @@ def check_axioms(sigma: SaturationMap, grid: Grid, n_samples: int,
     """Sweep randomized state pairs through all five axioms.
 
     Samples should straddle the saturation level (amplitude > level),
-    otherwise the map is exercised only on its identity branch.  Per-sample
-    RNG streams are derived from (rng_seed, counter), so the result does
-    not depend on evaluation order.  Samples are evaluated in blocks of
-    ``_CHUNK``, one per column; every axiom quantity is a column reduction,
-    so the report is the one a sample-by-sample loop gives.
+    otherwise the map is exercised only on its identity branch.  They come
+    in blocks of ``_CHUNK``, each drawn from its own generator derived from
+    (rng_seed, block index) in whole-block calls (``_sample_blocks``), so
+    the report depends on ``_CHUNK`` but not on evaluation order.  Each
+    sample is one column of its block; every axiom quantity is a column
+    reduction, so the report is the one a sample-by-sample loop gives on
+    the same states.
     """
     _check_sweep(grid.n_interior, n_samples, amplitude)
     h = grid.spacing_h

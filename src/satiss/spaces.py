@@ -112,26 +112,26 @@ def _sine_basis(grid: Grid, n_modes: int) -> np.ndarray:
 
 
 def random_smooth_values(grid: Grid, rng, n_modes: int = 12,
-                         mode_decay: float = 3.0, envelope: bool = False) -> np.ndarray:
+                         mode_decay: float = 3.0, envelope: bool = False,
+                         size: int = None) -> np.ndarray:
     """Random truncated sine series with mode amplitudes decaying like j**-decay.
 
-    ``rng`` is one generator, giving one (n,) state, or a sequence of
-    generators, giving an (len(rng), n) block with one row per generator;
-    each generator draws its ``n_modes`` coefficients in sequence order.  A
-    row is bit for bit the state its generator alone would give.  The
+    Without ``size``, ``rng`` draws ``n_modes`` coefficients and the result
+    is one (n,) state.  With ``size``, it draws a ``(size, n_modes)``
+    coefficient block in one call and the result is a (size, n) block whose
+    row i is bit for bit the single state of coefficient row i.  The
     coefficient draws do not depend on the grid resolution, so the same
     generator state yields samples of one underlying function across grids.
     """
-    single = hasattr(rng, "standard_normal")
-    rngs = [rng] if single else rng
-    coeffs = np.array([r.standard_normal(n_modes) for r in rngs]).reshape(len(rngs), n_modes)
+    coeffs = rng.standard_normal(n_modes if size is None else (size, n_modes))
     # term j is coeffs[j-1] * j**-decay * sin(j pi x / L), summed in order of j;
-    # all terms come from one product, an (n_modes, len(rngs), n) array
-    weights = coeffs * [j ** (-mode_decay) for j in range(1, n_modes + 1)]
+    # all terms come from one product, an (n_modes, rows, n) array
+    weights = coeffs.reshape(-1, n_modes) * [j ** (-mode_decay)
+                                             for j in range(1, n_modes + 1)]
     terms = weights.T[:, :, None] * _sine_basis(grid, n_modes)[:, None, :]
-    v = np.zeros((len(rngs), grid.n_interior))
+    v = np.zeros((len(weights), grid.n_interior))
     for term in terms:
         v += term
     if envelope:
         v = v * boundary_envelope(grid)
-    return v[0] if single else v
+    return v[0] if size is None else v

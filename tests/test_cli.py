@@ -196,6 +196,27 @@ def test_cli_overflowing_graph_norm_is_divergence(tmp_path, capsys):
         == "divergence: norm_graph of member 0 is not finite at step 0\n"
 
 
+def test_cli_diverged_run_makes_no_output_dir(tmp_path, capsys):
+    # the output directory is made after the integration, so a run that
+    # diverges leaves none behind
+    out = tmp_path / "div_out"
+    body = MINIMAL.format(out=out) + (
+        "initial.family = sine_mode\ninitial.mode = 15\ninitial.amplitude = 1e153\n")
+    assert main(["run", str(write_config(tmp_path, body))]) == 3
+    assert capsys.readouterr().err.startswith("divergence: ")
+    assert not out.exists()
+
+
+def test_cli_certify_over_gain_cap_makes_no_output_dir(tmp_path, capsys):
+    # member 2 is disturbed, so its gain exceeds a cap of 0; the certificate
+    # fails before the output directory is made
+    out = tmp_path / "cert_out"
+    body = MINIMAL.format(out=out) + "certificate.members = 3\ncertificate.rho_cap = 0\n"
+    assert main(["certify", str(write_config(tmp_path, body))]) == 4
+    assert capsys.readouterr().err.startswith("certification failure: required gain ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("level, message", [
     ("1e308", "shift-bound constant C0 must be positive and finite"),
     ("1e300", "case-1 constant rho = inf is not finite"),

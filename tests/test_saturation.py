@@ -5,10 +5,9 @@ import pytest
 
 from satiss import Grid, ParameterError, StateVector, check_axioms, \
     hilbert_norm_map, norm_l2, norm_linf, pointwise_linf_map
-from satiss.saturation import _CHUNK, SaturationKind, SaturationMap, \
+from satiss.saturation import _CHUNK, AxiomReport, SaturationKind, SaturationMap, \
     _column_norms, _draw_states, _s_norm, _sample_blocks, _sat_values, \
     _shift_ratios, _sprime_norm
-from satiss.spaces import random_smooth_values
 
 from conftest import L
 
@@ -172,7 +171,7 @@ def test_estimate_item5_hilbert_bound():
                                1).item5_C0_estimate for level in (1.0, 2.0)}
     for level in (1.0, 2.0):
         assert 0.0 < est[level] <= 3.0 * level
-    assert est[1.0] == 0.5352565013721595
+    assert est[1.0] == 0.25876405119170925
     assert est[2.0] == 2.0 * est[1.0]
 
 
@@ -180,7 +179,7 @@ def test_estimate_item5_pointwise_bound():
     g = Grid(L, 127)
     est = check_axioms(pointwise_linf_map(1.0, L), g, 2000, 3.0, 1).item5_C0_estimate
     assert 0.0 < est <= math.sqrt(L) * 1.0 + 1e-10
-    assert est == 1.2833627951849391
+    assert est == 1.278555020167227
 
 
 def test_level_scaling_of_declared_constants():
@@ -251,8 +250,9 @@ def test_column_reductions_match_single_states_bit_for_bit():
         assert dots[i] == h * float(np.dot(single, other[i].copy()))
 
 
-# Reports pinned to what a sample-by-sample evaluation gives, bit for bit:
-# (n, n_samples, amplitude, seed, level) -> (bound, monotonicity,
+# Reports pinned bit for bit to ``_oracle_report`` on ``_oracle_samples``
+# (below), which draws as the stream contract says and evaluates one sample
+# at a time: (n, n_samples, amplitude, seed, level) -> (bound, monotonicity,
 # Lipschitz, item 4, item 5) of as_kv_text() per kind.
 _GOLDEN_REPORTS = {
     "one_sample": ((127, 1, 3.0, 0, 1.0), {
@@ -261,28 +261,27 @@ _GOLDEN_REPORTS = {
     }),
     # three full blocks and a partial one
     "partial_block": ((127, 785, 3.0, 0, 1.0), {
-        "pointwise_linf": (0, 0, "1", "-0.61203632394174456", "1.190394001443386"),
-        "hilbert_norm": (0, 0, "0.91449378126291103", "-0.61203632394174456",
-                         "0.047274428756149865"),
+        "pointwise_linf": (0, 0, "1", "-0.51736946784014393", "1.0147348366042797"),
+        "hilbert_norm": (0, 0, "0.86589764268937308", "-0.51736946784014393",
+                         "0.08432499713614576"),
     }),
     # amplitude below the level
     "unsaturated": ((63, 300, 0.1, 3, 1.0), {
-        "pointwise_linf": (0, 0, "1", "-0.0006866536248521859", "0.15563474914198983"),
-        "hilbert_norm": (0, 0, "1", "-0.0006866536248521859", "0.15563474914198983"),
+        "pointwise_linf": (0, 0, "1", "-0.000520699891819504", "0.13630385778811396"),
+        "hilbert_norm": (0, 0, "1", "-0.000520699891819504", "0.13630385778811396"),
     }),
     "level_half": ((31, 300, 1.5, 2, 0.5), {
-        "pointwise_linf": (0, 0, "1", "-0.24963252647863696", "0.55194554956561548"),
-        "hilbert_norm": (0, 0, "0.92232748490252214", "-0.24963252647863696",
-                         "0.088301295014240097"),
+        "pointwise_linf": (0, 0, "1", "-0.32625039655921767", "0.57459921067138442"),
+        "hilbert_norm": (0, 0, "0.91834586882531333", "-0.32625039655921767", "0"),
     }),
     # the CLI's `satiss axioms <kind> 1.0` sweep, 39 full blocks and a partial one
     "cli_sweep": ((127, 10000, 3.0, 0, 1.0), {
-        "pointwise_linf": (0, 0, "1", "-0.46055799933226427", "1.3481147876589499"),
-        "hilbert_norm": (0, 0, "1", "-0.46055799933226427", "0.84718286135975196"),
+        "pointwise_linf": (0, 0, "1", "-0.40833892497342422", "1.5677587863509379"),
+        "hilbert_norm": (0, 0, "1", "-0.40833892497342422", "0.66684003732050634"),
     }),
     "ten_thousand_level_half": ((63, 10000, 1.5, 7, 0.5), {
-        "pointwise_linf": (0, 0, "1", "-0.19289800247713149", "0.74652009333293057"),
-        "hilbert_norm": (0, 0, "1", "-0.19289800247713149", "0.28189492338477046"),
+        "pointwise_linf": (0, 0, "1", "-0.18742543888575072", "0.80883152184605034"),
+        "hilbert_norm": (0, 0, "1", "-0.18742543888575072", "0.37044702490966447"),
     }),
 }
 
@@ -305,38 +304,98 @@ def test_check_axioms_golden_reports(name):
         assert check_axioms(sigma, g, n_samples, amplitude, seed).as_kv_text() == text
 
 
+@pytest.mark.parametrize("name", ["one_sample", "partial_block", "unsaturated",
+                                  "level_half"])
+def test_golden_reports_are_oracle_reports(name):
+    # the 10^4-sample rows were pinned from the same oracle, which takes
+    # seconds at that size
+    (n, n_samples, amplitude, seed, level), _ = _GOLDEN_REPORTS[name]
+    g = Grid(L, n)
+    samples = _oracle_samples(g, n_samples, seed, amplitude)
+    for sigma in (pointwise_linf_map(level, L), hilbert_norm_map(level)):
+        assert check_axioms(sigma, g, n_samples, amplitude, seed).as_kv_text() \
+            == _oracle_report(sigma, g, samples)
+
+
 def test_estimate_item5_golden_values():
-    # pinned to what a sample-by-sample evaluation gives; the first is the
-    # Hilbert estimate the axioms demo prints last
+    # pinned to what the oracle below gives; the first is the Hilbert
+    # estimate the axioms demo prints last
     g = Grid(L, 127)
 
     def item5(sigma, n_samples, seed):
         return check_axioms(sigma, g, n_samples, 3.0, seed).item5_C0_estimate
-    assert item5(hilbert_norm_map(1.0), 5000, 1) == 0.5352565013721595
-    assert item5(pointwise_linf_map(1.0, L), 785, 4) == 1.2131175643750869
-    assert item5(hilbert_norm_map(1.0), 785, 4) == 0.05173403804066813
+    assert item5(hilbert_norm_map(1.0), 5000, 1) == 0.3524158255870098
+    assert item5(pointwise_linf_map(1.0, L), 785, 4) == 0.9942719674486751
+    assert item5(hilbert_norm_map(1.0), 785, 4) == 0.0026249829195692043
 
 
-def _oracle_sample_values(grid, rng, amplitude):
-    """One state drawn and scaled sample by sample, as the sweep did before
-    its draws were phased over a block."""
-    if rng.random() < 0.5:
-        return rng.uniform(-amplitude, amplitude, grid.n_interior)
-    v = random_smooth_values(grid, rng, n_modes=8, mode_decay=1.5)
-    peak = np.abs(v).max()
-    if peak == 0.0:
-        return np.zeros(grid.n_interior)
-    return v * (amplitude * rng.uniform(0.2, 1.0) / peak)
+def _oracle_states(grid, rng, m, amplitude):
+    """m states from the block calls of the stream contract, each built on
+    its own draws with the single-state formulas: a rough row as drawn, or
+    the 8-mode series summed term by term and scaled to its fraction."""
+    n, x = grid.n_interior, grid.interior_nodes()
+    rough = rng.random(m) < 0.5
+    k = int(np.count_nonzero(rough))
+    rows = iter(rng.uniform(-amplitude, amplitude, (k, n)))
+    coeffs = iter(rng.standard_normal((m - k, 8)))
+    fractions = iter(rng.uniform(0.2, 1.0, m - k))
+    states = []
+    for is_rough in rough:
+        if is_rough:
+            states.append(next(rows))
+            continue
+        c, fraction = next(coeffs), next(fractions)
+        v = np.zeros(n)
+        for j in range(1, 9):
+            v += c[j - 1] * j ** (-1.5) * np.sin(j * np.pi * x / grid.length_L)
+        peak = np.abs(v).max()
+        states.append(np.zeros(n) if peak == 0.0 else v * (amplitude * fraction / peak))
+    return states
 
 
-def _oracle_sample(grid, rng, amplitude):
-    """s, t and the randomly scaled s~ of one sample, drawn sample by sample."""
-    s, t, pert = [_oracle_sample_values(grid, rng, amplitude) for _ in range(3)]
-    return s, t, pert * rng.uniform(0.0, 1.0)
+def _oracle_samples(grid, n_samples, seed, amplitude):
+    """(s, t, s~) of every sample: block b of 256 samples draws from
+    default_rng((seed, b)) the states s, t and s~, then the factors of s~."""
+    samples = []
+    for block, start in enumerate(range(0, n_samples, 256)):
+        m = min(256, n_samples - start)
+        rng = np.random.default_rng((seed, block))
+        s, t, pert = [_oracle_states(grid, rng, m, amplitude) for _ in range(3)]
+        factors = rng.uniform(0.0, 1.0, m)
+        samples += [(s[i], t[i], pert[i] * factors[i]) for i in range(m)]
+    return samples
+
+
+def _oracle_report(sigma, grid, samples):
+    """as_kv_text() of the five axioms evaluated one sample at a time."""
+    kind, level, h = sigma.kind, sigma.level, grid.spacing_h
+
+    def norm(v):
+        return math.sqrt(h * float(np.dot(v, v)))
+
+    bound = mono = 0
+    lip, item4, item5 = 0.0, -math.inf, 0.0
+    for s, t, pert in samples:
+        sig_s, sig_t = _sat_values(kind, s, level, h), _sat_values(kind, t, level, h)
+        defect = sig_s - s
+        if kind is POINTWISE:
+            bound += float(np.max(np.abs(sig_s))) > level
+            s_prime = float(h * np.sum(np.abs(defect)))
+        else:
+            bound += norm(sig_s) > level
+            s_prime = norm(defect)
+        mono += h * float(np.dot(sig_s - sig_t, s - t)) < -1e-12
+        if norm(s - t) > 0:
+            lip = max(lip, norm(sig_s - sig_t) / norm(s - t))
+        item4 = max(item4, s_prime - h * float(np.dot(sig_s, s)) / level)
+        if norm(pert) > 0:
+            shift = _sat_values(kind, s + pert, level, h) - sig_s
+            item5 = max(item5, h * float(np.dot(s, shift)) / norm(pert))
+    return AxiomReport(bound, mono, lip, item4, item5, len(samples)).as_kv_text()
 
 
 @pytest.mark.parametrize("amplitude", [3.0, 0.1])
-def test_phased_sampler_matches_per_sample_oracle(amplitude):
+def test_block_sampler_matches_block_oracle(amplitude):
     g = Grid(L, 127)
     n_samples, seed = 785, 6
     columns = [[], [], []]
@@ -344,54 +403,47 @@ def test_phased_sampler_matches_per_sample_oracle(amplitude):
         for column, block in zip(columns, blocks):
             assert block.shape[0] == 127 and block.shape[1] <= _CHUNK
             column.extend(block.T.copy())
-    rough = 0
-    for i in range(n_samples):
-        expected = _oracle_sample(g, np.random.default_rng((seed, i)), amplitude)
+    samples = _oracle_samples(g, n_samples, seed, amplitude)
+    assert len(samples) == n_samples
+    for i, expected in enumerate(samples):
         for column, state in zip(columns, expected):
             np.testing.assert_array_equal(column[i], state)
             assert np.array_equal(np.signbit(column[i]), np.signbit(state))
-        rough += np.random.default_rng((seed, i)).random() < 0.5  # first state's family
-    assert 0 < rough < n_samples  # both families were drawn
+    first_family = np.random.default_rng((seed, 0)).random(_CHUNK) < 0.5
+    assert 0 < np.count_nonzero(first_family) < _CHUNK  # both families were drawn
 
 
-class _ZeroSeriesStream:
-    """A generator whose series coefficients are all zero: every smooth
-    state has peak 0.  It takes the smooth branch and consumes the inner
-    generator's draws as usual, and records its uniform draws."""
+class _ZeroSeries:
+    """A generator whose series coefficients are all zero, so that every
+    smooth state has peak 0; it consumes the inner generator's draws as
+    usual."""
 
     def __init__(self, seed):
         self.inner = np.random.default_rng(seed)
-        self.uniform_calls = []
 
-    def random(self):
-        return 0.5 + 0.5 * self.inner.random()
+    def random(self, size):
+        return self.inner.random(size)
+
+    def uniform(self, low, high, size):
+        return self.inner.uniform(low, high, size)
 
     def standard_normal(self, size):
         self.inner.standard_normal(size)
         return np.zeros(size)
 
-    def uniform(self, low, high, size=None):
-        self.uniform_calls.append((low, high))
-        return self.inner.uniform(low, high, size)
 
-
-def test_zero_peak_stream_draws_no_scale_fraction():
+def test_zero_peak_rows_are_zero_states():
+    # a smooth row whose series has a zero peak is the zero state, and
+    # still draws its scale fraction, so the rows after it keep their draws
     g = Grid(L, 63)
-    amplitude = 3.0
-    rngs = [np.random.default_rng((1, 0)), _ZeroSeriesStream((1, 1)),
-            np.random.default_rng((1, 2)), _ZeroSeriesStream((1, 3))]
-    oracles = [np.random.default_rng((1, 0)), _ZeroSeriesStream((1, 1)),
-               np.random.default_rng((1, 2)), _ZeroSeriesStream((1, 3))]
-    for _ in range(3):
-        out = np.full((len(rngs), 63), np.nan)
-        _draw_states(g, rngs, amplitude, out)
-        for row, oracle in zip(out, oracles):
-            expected = _oracle_sample_values(g, oracle, amplitude)
-            np.testing.assert_array_equal(row, expected)
-            assert np.array_equal(np.signbit(row), np.signbit(expected))
-    for stub in (rngs[1], rngs[3]):
-        assert (0.2, 1.0) not in stub.uniform_calls
-    np.testing.assert_array_equal(out[1], np.zeros(63))
-    for rng, oracle in zip(rngs, oracles):
-        inner = getattr(rng, "inner", rng)
-        assert inner.bit_generator.state == getattr(oracle, "inner", oracle).bit_generator.state
+    rng, oracle = _ZeroSeries((1, 0)), _ZeroSeries((1, 0))
+    for m in (40, 40, 1):
+        out = np.full((m, 63), np.nan)
+        _draw_states(g, rng, 3.0, out)
+        expected = _oracle_states(g, oracle, m, 3.0)
+        for row, state in zip(out, expected):
+            np.testing.assert_array_equal(row, state)
+            assert np.array_equal(np.signbit(row), np.signbit(state))
+        assert rng.inner.bit_generator.state == oracle.inner.bit_generator.state
+        if m > 1:
+            assert 0 < np.count_nonzero(np.all(out == 0.0, axis=1)) < m

@@ -198,24 +198,32 @@ def test_random_smooth_values_cached_basis_bit_for_bit(n):
     assert not basis.flags.writeable
 
 
-def test_random_smooth_values_block_rows_match_single_generators():
-    # a sequence of generators gives one row each, bit for bit the state
-    # each generator gives alone, and leaves each where a single call does
+class _Coefficients:
+    """Stands in for a generator, handing out one fixed coefficient row."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def standard_normal(self, size):
+        assert size == len(self.row)
+        return self.row.copy()
+
+
+def test_random_smooth_values_size_rows_match_single_states():
+    # size=k draws one (k, n_modes) coefficient block; row i is bit for bit
+    # the single state of coefficient row i
     g = Grid(L, 127)
     for n_modes, mode_decay, envelope in ((8, 1.5, False), (12, 3.0, True)):
-        block = random_smooth_values(g, [np.random.default_rng((3, i)) for i in range(7)],
-                                     n_modes, mode_decay, envelope)
+        rng = np.random.default_rng((3, 1))
+        block = random_smooth_values(g, rng, n_modes, mode_decay, envelope, size=7)
         assert block.shape == (7, 127)
+        alone = np.random.default_rng((3, 1))
+        coeffs = alone.standard_normal((7, n_modes))
+        assert rng.bit_generator.state == alone.bit_generator.state
         for i in range(7):
-            rng = np.random.default_rng((3, i))
-            single = random_smooth_values(g, rng, n_modes, mode_decay, envelope)
+            single = random_smooth_values(g, _Coefficients(coeffs[i]), n_modes,
+                                          mode_decay, envelope)
             assert single.shape == (127,)
             np.testing.assert_array_equal(block[i], single)
             assert np.array_equal(np.signbit(block[i]), np.signbit(single))
-    rngs = [np.random.default_rng((3, i)) for i in range(3)]
-    random_smooth_values(g, rngs)
-    for i, rng in enumerate(rngs):
-        alone = np.random.default_rng((3, i))
-        alone.standard_normal(12)
-        assert rng.bit_generator.state == alone.bit_generator.state
-    assert random_smooth_values(g, []).shape == (0, 127)
+    assert random_smooth_values(g, np.random.default_rng(0), size=0).shape == (0, 127)
