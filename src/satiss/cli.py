@@ -21,7 +21,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
 
 import numpy as np
@@ -34,8 +36,8 @@ from .errors import CertificationError, ConfigError, DissipativityGateFailed, \
 from .saturation import _check_sweep, check_axioms, hilbert_norm_map, \
     pointwise_linf_map
 from .spaces import Grid, StateVector, norm_graph
-from .system import assemble_closed_loop, build_kdv_operator, cosine_disturbance, \
-    linear_loop_operator, simulate, zero_disturbance
+from .system import Trajectory, assemble_closed_loop, build_kdv_operator, \
+    cosine_disturbance, linear_loop_operator, simulate, zero_disturbance
 
 OUTPUT_ROOT_ENV = "SATISS_OUTPUT_ROOT"
 
@@ -253,13 +255,55 @@ def _closed_loop(config):
     return grid, A, assemble_closed_loop(A, sigma, _disturbance(config))
 
 
-def _make_output_dir(path_str):
-    """Create the output directory, under $SATISS_OUTPUT_ROOT when relative."""
+def _output_path(path_str):
+    """The output directory ``path_str``, under $SATISS_OUTPUT_ROOT when
+    relative; ConfigError if something other than a directory is there."""
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root and not os.path.isabs(path_str):
         path_str = os.path.join(root, path_str)
-    os.makedirs(path_str, exist_ok=True)
+    if os.path.exists(path_str) and not os.path.isdir(path_str):
+        raise ConfigError("output_dir %r exists and is not a directory" % path_str)
     return path_str
+
+
+def _make_output_dir(path):
+    """Create the directory ``path`` of ``_output_path`` with its missing
+    parents.  Returns the outermost directory this call made, None if
+    ``path`` was there; ConfigError if it cannot be made.  A new directory
+    in an existing one, the usual case, costs a single ``mkdir`` call."""
+    try:
+        os.mkdir(path)
+        return path
+    except FileExistsError:
+        if os.path.isdir(path):
+            return None
+        raise ConfigError("output_dir %r exists and is not a directory" % path)
+    except FileNotFoundError:
+        path = os.path.abspath(path)
+        outer = _make_output_dir(os.path.dirname(path))
+        inner = _make_output_dir(path)
+        return inner if outer is None else outer
+    except OSError as exc:
+        raise ConfigError("output_dir %r cannot be made: %s" % (path, exc))
+
+
+@contextmanager
+def _streamed_states(outdir, name, grid):
+    """Make ``outdir`` and yield the sink that streams a run's state rows to
+    ``outdir/name``.  If the block raises, the partial file is removed, and
+    so are the directories made here."""
+    made = _make_output_dir(outdir)
+    path = os.path.join(outdir, name)
+    try:
+        with Trajectory.write_states_csv(path, grid) as sink:
+            yield sink
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made)
+        else:
+            with suppress(FileNotFoundError):
+                os.remove(path)
+        raise
 
 
 def _write_text(outdir, files, name, text):
@@ -286,6 +330,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None):
     Returns the list of files written (relative to the output directory).
     Deterministic for a fixed (config, rng_seed): identical bytes per run.
     """
+    outdir = _output_path(output_dir or config["output_dir"])
     grid, A, sys_loop = _closed_loop(config)
     sigma = sys_loop.sigma
     z0 = _initial_state(config, grid, A)
@@ -295,18 +340,19 @@ def run_experiment(config: ExperimentConfig, output_dir=None):
     C = lyap.measure_decay_constant(linear_loop_operator(A))
     params = _dissipation_params(config, A, sigma, z0, C, grid, seed)
 
-    traj = simulate(sys_loop, z0, T, dt, keep_states=config["output.states"])
-    if params:
-        traj.observables.update((name, series(traj)) for name, series
-                                in lyap.trajectory_observers(params).items())
-    # made only now, so that a refused config or a diverged run leaves none
-    outdir = _make_output_dir(output_dir or config["output_dir"])
-    files = []
+    # the directory is made just before a run that streams its states, and
+    # otherwise only after the run, so that a refused config or a diverged
+    # run leaves none
+    states = config["output.states"]
+    with _streamed_states(outdir, "states.csv", grid) if states \
+            else nullcontext() as sink:
+        traj = simulate(sys_loop, z0, T, dt, on_rows=sink)
+        if params:
+            traj.observables.update((name, series(traj)) for name, series
+                                    in lyap.trajectory_observers(params).items())
+    _make_output_dir(outdir)
     traj.write_observables_csv(os.path.join(outdir, "trajectory.csv"))
-    files.append("trajectory.csv")
-    if config["output.states"]:
-        traj.write_states_csv(os.path.join(outdir, "states.csv"))
-        files.append("states.csv")
+    files = ["trajectory.csv"] + (["states.csv"] if states else [])
 
     if config["analysis.axioms"]:
         report = check_axioms(sigma, grid, config["analysis.axioms_samples"],
@@ -418,7 +464,7 @@ def reproduce_figure1(output_dir):
     state history of run (a), the paired norm traces, the observables of
     run (a), and a manifest.
     """
-    outdir = _make_output_dir(output_dir)
+    outdir = _output_path(output_dir)
     L = 2.0 * math.pi
     grid = Grid(L, FIGURE1_N_INTERIOR)
     A = build_kdv_operator(grid)
@@ -426,14 +472,13 @@ def reproduce_figure1(output_dir):
     z0 = StateVector(grid, 1.0 - np.cos(x))
     sigma = pointwise_linf_map(1.0, L)
 
-    disturbed = simulate(assemble_closed_loop(A, sigma, cosine_disturbance(0.05, 1.0)),
-                         z0, FIGURE1_T, FIGURE1_DT)
+    with _streamed_states(outdir, "figure1_states.csv", grid) as sink:
+        disturbed = simulate(assemble_closed_loop(A, sigma, cosine_disturbance(0.05, 1.0)),
+                             z0, FIGURE1_T, FIGURE1_DT, on_rows=sink)
     linear = simulate(assemble_closed_loop(A, None, zero_disturbance()),
-                      z0, FIGURE1_T, FIGURE1_DT, keep_states=False)
+                      z0, FIGURE1_T, FIGURE1_DT)
 
-    files = []
-    disturbed.write_states_csv(os.path.join(outdir, "figure1_states.csv"))
-    files.append("figure1_states.csv")
+    files = ["figure1_states.csv"]
     disturbed.write_observables_csv(os.path.join(outdir, "figure1_observables.csv"))
     files.append("figure1_observables.csv")
     write_csv(os.path.join(outdir, "figure1_norms.csv"),
@@ -498,10 +543,11 @@ def _cmd_axioms(args):
 
 def _cmd_certify(args):
     config = parse_config(args.config)
+    outdir = _output_path(config["output_dir"])
     grid, A, sys_loop = _closed_loop(config)
     cert = _run_certificate(config, sys_loop, grid, A, config["time.T"],
                             config["time.dt"])
-    outdir = _make_output_dir(config["output_dir"])
+    _make_output_dir(outdir)
     files = []
     _write_text(outdir, files, "certificate.txt", cert.as_kv_text())
     _write_manifest(outdir, config.echo_lines, files)

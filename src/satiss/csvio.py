@@ -3,6 +3,9 @@
 ``%.17g`` gives the 17 significant digits that read back bit for bit.
 Python formats them one float at a time, near 1 us each: 0.8 s for the
 1.15 M values of the ``figure1`` state history on a 2-core Xeon.
+``csv_writer`` writes a file's header and yields a writer that appends
+rows a batch at a time, so a long run streams its states out while it
+integrates; ``write_csv`` writes whole columns through it.
 ``format_block`` computes the same bytes for a whole block in integer and
 double-double arithmetic, after Ryu printf (Adams, "Ryu revisited: printf
 floating point conversion", OOPSLA 2019), with a Dekker product against a
@@ -27,14 +30,18 @@ nan, inf and zero have fixed layouts.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import cache
 
 import numpy as np
 
-#: Values formatted per batch.  At 16384 values the peak RSS of
-#: ``satiss figure1`` read 3.8 % above that of a writer that formats one
-#: value at a time; at 8192 it read 1.5 % above, in the same time.
-_BATCH_VALUES = 8192
+#: Values formatted per batch.  A state stream formats one batch between
+#: integration steps, and glibc gives a large batch's temporaries back to
+#: the OS at each free (it trims the top of its heap) and faults them in
+#: again.  The ``figure1`` states in calls of 64 rows (9001 x 128 values)
+#: took 73k minor page faults and 0.37 s at 8192 values per batch, about
+#: 2 MB per batch; at 4096 they took 141 faults and 0.26 s (2-core Xeon).
+_BATCH_VALUES = 4096
 
 _E16, _E17 = 10 ** 16, 10 ** 17
 _TINY, _HUGE = 1e-280, 1e280  # the magnitudes the product handles
@@ -202,17 +209,29 @@ def format_block(block) -> bytes:
     return out[_KEEP.take(keep).view(bool).reshape(n, 25)].tobytes()
 
 
-def write_csv(path, header, columns):
-    """Write equal-length columns (1-D, or 2-D for several) under a header.
+@contextmanager
+def csv_writer(path, header):
+    """Open ``path``, write the header line and yield ``write(*columns)``,
+    which appends equal-length columns (1-D, or 2-D for several) as rows.
 
     Every value is written as ``%.17g``, which reads back bit for bit: each
     line holds the bytes of ``",".join(["%.17g"] * len(header)) % row``.
     ``format_block`` makes them from batches of whole rows, about
-    ``_BATCH_VALUES`` values each, whatever the number of columns.
+    ``_BATCH_VALUES`` values each, whatever the number of columns; the
+    bytes do not depend on how the rows are split between calls.
     """
     step = max(1, _BATCH_VALUES // len(header))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(columns[0]), step):
-            fh.write(format_block(np.column_stack(
-                [c[start:start + step] for c in columns])))
+
+        def write(*columns):
+            for start in range(0, len(columns[0]), step):
+                fh.write(format_block(np.column_stack(
+                    [c[start:start + step] for c in columns])))
+        yield write
+
+
+def write_csv(path, header, columns):
+    """Write equal-length columns under a header, as ``csv_writer`` does."""
+    with csv_writer(path, header) as write:
+        write(*columns)

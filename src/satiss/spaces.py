@@ -125,13 +125,13 @@ def random_smooth_values(grid: Grid, rng, n_modes: int = 12,
     """
     coeffs = rng.standard_normal(n_modes if size is None else (size, n_modes))
     # term j is coeffs[j-1] * j**-decay * sin(j pi x / L), summed in order of j;
-    # all terms come from one product, an (n_modes, rows, n) array
+    # each term is formed in one reused (rows, n) buffer
     weights = coeffs.reshape(-1, n_modes) * [j ** (-mode_decay)
                                              for j in range(1, n_modes + 1)]
-    terms = weights.T[:, :, None] * _sine_basis(grid, n_modes)[:, None, :]
     v = np.zeros((len(weights), grid.n_interior))
-    for term in terms:
-        v += term
+    term = np.empty_like(v)
+    for weight, sine in zip(weights.T[:, :, None], _sine_basis(grid, n_modes)):
+        v += np.multiply(weight, sine, out=term)
     if envelope:
         v = v * boundary_envelope(grid)
     return v[0] if size is None else v

@@ -21,7 +21,7 @@ from scipy import sparse
 from scipy.linalg import eigvals_banded
 from scipy.sparse.linalg import splu
 
-from .csvio import write_csv
+from .csvio import csv_writer, write_csv
 from .errors import DissipativityGateFailed, GridMismatchError, ParameterError, \
     SimulationDiverged
 from .saturation import SaturationMap, _sat_values
@@ -323,11 +323,10 @@ class _ImexStepper:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time series of states with per-step norm and Lyapunov observables."""
+    """Time series of per-step norm and Lyapunov observables."""
 
     grid: Grid
     times: np.ndarray
-    states: np.ndarray  # row i is the state at times[i]; None when not kept
     observables: dict
 
     OBSERVABLE_COLUMNS = ("norm_l2", "norm_linf", "norm_graph",
@@ -341,13 +340,20 @@ class Trajectory:
         write_csv(path, ("t",) + cols,
                   [self.times] + [self.observables[c] for c in cols])
 
-    def write_states_csv(self, path):
-        n = self.grid.n_interior
-        write_csv(path, ["t"] + ["z%d" % j for j in range(1, n + 1)],
-                  [self.times, self.states])
+    @staticmethod
+    def write_states_csv(path, grid):
+        """Context manager: open the states CSV of a run on ``grid`` and
+        yield the sink ``(times, rows)`` that ``simulate`` hands its state
+        rows to, one line per time.  Call it through the class."""
+        return csv_writer(path, ["t"] + ["z%d" % j for j in range(1, grid.n_interior + 1)])
 
 
-def simulate(sys, z0, T: float, dt: float, keep_states: bool = True):
+#: Steps per block of recorded state rows.  A run holds two (m, 32, n)
+#: blocks, the rows and their magnitudes, whatever its number of steps.
+_BLOCK_ROWS = 32
+
+
+def simulate(sys, z0, T: float, dt: float, on_rows=None):
     """Integrate the closed loop over [0, T] and record observables per step.
 
     ``sys`` and ``z0`` are one system and one initial state, giving one
@@ -357,12 +363,18 @@ def simulate(sys, z0, T: float, dt: float, keep_states: bool = True):
     one ``_ImexStepper``, with d read from its cosine table: under 2 m
     (steps + 1) doubles, as many as the recorded norms.  V is recorded as
     ||z||^2; V1 and V2 are recorded as NaN, to be filled from the recorded
-    norms by the functions of ``lyapunov.trajectory_observers``.  With
-    ``keep_states=False`` the state history is not stored and
-    ``Trajectory.states`` is None.  A non-finite recorded state or norm
-    raises SimulationDiverged.  Overflow and invalid-operation warnings are
-    off in the step loop alone: what overflows there stays non-finite and
-    is reported by those checks.
+    norms by the functions of ``lyapunov.trajectory_observers``.
+
+    No state history is kept.  The states go into one reused block of
+    ``_BLOCK_ROWS`` rows per member; when it is full, and at the last
+    step, their max |z| is recorded and checked, and the rows are handed to
+    ``on_rows(times, rows)`` if given: ``times`` (k,) and ``rows`` (k, n)
+    for one system, (m, k, n) for a list, both valid only during the call.
+    A non-finite state raises SimulationDiverged, naming its first step and
+    member, before its block is handed out; a non-finite recorded norm
+    raises it after the loop, once every block has been handed out.
+    Overflow and invalid-operation warnings are off in the step loop alone:
+    what overflows there stays non-finite and is reported by those checks.
     """
     batch = isinstance(sys, (list, tuple))
     systems = list(sys) if batch else [sys]
@@ -385,30 +397,37 @@ def simulate(sys, z0, T: float, dt: float, keep_states: bool = True):
     n_steps = max(1, int(math.ceil(T / dt - 1e-9)))
     times = np.arange(n_steps + 1) * dt
     times[-1] = T
+    times.setflags(write=False)
     stepper = _ImexStepper(systems, dt, times)
 
     m = len(systems)
-    states = np.empty((m, n_steps + 1, grid.n_interior)) if keep_states else None
+    rows = np.empty((m, min(_BLOCK_ROWS, n_steps + 1), grid.n_interior))
+    magnitudes = np.empty_like(rows)
     # per member and step: max |z| and the sums of squares of z, A z,
     # u = sigma(B* z + d) and d, all read from the step's own blocks
     linf = np.empty((m, n_steps + 1))
     squares = np.empty((4, m, n_steps + 1))
 
     stepper.z[...] = np.array([z0_j.values for z0_j in z0s]).T
+    state = stepper.blocks[0]  # z, one row per member
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps + 1):
             stepper.evaluate(i)
-            np.abs(stepper.z).max(axis=0, out=linf[:, i])
-            if not math.isfinite(linf[:, i].max()):
-                raise SimulationDiverged(i, int(np.argmin(np.isfinite(linf[:, i]))))
-            if keep_states:
-                states[:, i] = stepper.z.T
+            r = i % _BLOCK_ROWS
+            rows[:, r] = state
             np.vecdot(stepper.blocks, stepper.blocks, out=squares[:, :, i])
+            if r == _BLOCK_ROWS - 1 or i == n_steps:
+                start, k = i - r, r + 1
+                np.abs(rows[:, :k], out=magnitudes[:, :k]).max(
+                    axis=2, out=linf[:, start:i + 1])
+                finite = np.isfinite(linf[:, start:i + 1])
+                if not finite.all():
+                    step = int(np.argmin(finite.all(axis=0)))
+                    raise SimulationDiverged(start + step, int(np.argmin(finite[:, step])))
+                if on_rows is not None:
+                    on_rows(times[start:i + 1], rows[:, :k] if batch else rows[0, :k])
             if i < n_steps:
                 stepper.advance(i)
-    times.setflags(write=False)
-    if keep_states:
-        states.setflags(write=False)
     # the norms, computed in place to keep one (m, steps) array per column
     squares *= h
     bad = ~np.isfinite(squares)
@@ -429,7 +448,6 @@ def simulate(sys, z0, T: float, dt: float, keep_states: bool = True):
            "norm_u": norm_u, "norm_d": norm_d}
     trajectories = [
         Trajectory(grid=grid, times=times,
-                   states=states[j] if keep_states else None,
                    observables={c: obs[c][j] for c in Trajectory.OBSERVABLE_COLUMNS})
         for j in range(m)]
     return trajectories if batch else trajectories[0]

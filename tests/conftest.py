@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from satiss import Grid, LinearOperator, StateVector, build_kdv_operator, \
-    linear_loop_operator, measure_decay_constant
+    linear_loop_operator, measure_decay_constant, simulate
 
 L = 2.0 * math.pi
 
@@ -40,3 +40,13 @@ def dense_operator(grid, matrix):
     """The operator of a dense test matrix, from all 2n - 1 of its diagonals."""
     n = grid.n_interior
     return LinearOperator(grid, [np.diagonal(matrix, k) for k in range(1 - n, n)])
+
+
+def simulate_states(sys, z0, T, dt):
+    """What ``simulate(sys, z0, T, dt)`` returns, and the state rows it hands
+    to ``on_rows``, collected: (steps + 1, n) for one system, (m, steps + 1,
+    n) for a list of them."""
+    blocks = []
+    result = simulate(sys, z0, T, dt,
+                      on_rows=lambda times, rows: blocks.append(rows.copy()))
+    return result, np.concatenate(blocks, axis=-2)

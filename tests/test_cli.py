@@ -1,5 +1,6 @@
 import hashlib
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -86,18 +87,17 @@ def test_run_artifacts_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("states", [False, True])
-def test_run_keeps_states_only_when_written(tmp_path, monkeypatch, states):
-    # the gap report integrates its own twins and needs no stored history
-    kept, real = [], cli.simulate
+def test_run_passes_a_state_sink_only_when_written(tmp_path, monkeypatch, states):
+    # the gap report integrates its own twins and sums their rows itself
+    sinks, real = [], cli.simulate
 
     def recording(*args, **kwargs):
-        traj = real(*args, **kwargs)
-        kept.append(traj.states is not None)
-        return traj
+        sinks.append(kwargs.get("on_rows") is not None)
+        return real(*args, **kwargs)
     monkeypatch.setattr(cli, "simulate", recording)
     body = MINIMAL + "analysis.gap = true\noutput.states = %s\n" % str(states).lower()
     _, files = run_experiment(parse_config_text(body.format(out=tmp_path / "out")))
-    assert kept == [states]
+    assert sinks == [states]
     assert ("states.csv" in files) == states and "gap.csv" in files
 
 
@@ -197,14 +197,83 @@ def test_cli_overflowing_graph_norm_is_divergence(tmp_path, capsys):
 
 
 def test_cli_diverged_run_makes_no_output_dir(tmp_path, capsys):
-    # the output directory is made after the integration, so a run that
-    # diverges leaves none behind
+    # without states the output directory is made after the integration;
+    # with them, the streamed states.csv and the directories made for it are
+    # removed.  So a run that diverges leaves none behind, whether a state
+    # turns non-finite in the step loop (amplitude 1e307, step 1) or a norm
+    # does after every row was written (1e153, the norm check after the loop)
     out = tmp_path / "div_out"
+    for amplitude, message in (("1e153", "norm_graph of member 0 is not finite at step 0"),
+                               ("1e307", "state of member 0 is not finite at step 1")):
+        for states in ("false", "true"):
+            body = MINIMAL.format(out=out / "nested" / "run") + (
+                "initial.family = sine_mode\ninitial.mode = 15\n"
+                "initial.amplitude = %s\noutput.states = %s\n" % (amplitude, states))
+            assert main(["run", str(write_config(tmp_path, body))]) == 3
+            assert capsys.readouterr().err == "divergence: %s\n" % message
+            assert not out.exists()
+
+
+def test_cli_diverged_streamed_run_keeps_an_existing_output_dir(tmp_path, capsys):
+    # a directory that was there before keeps what it held, less the partial
+    # states file
+    out = tmp_path / "div_out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
     body = MINIMAL.format(out=out) + (
-        "initial.family = sine_mode\ninitial.mode = 15\ninitial.amplitude = 1e153\n")
+        "initial.family = sine_mode\ninitial.mode = 15\ninitial.amplitude = 1e307\n"
+        "output.states = true\n")
     assert main(["run", str(write_config(tmp_path, body))]) == 3
-    assert capsys.readouterr().err.startswith("divergence: ")
-    assert not out.exists()
+    assert sorted(os.listdir(out)) == ["notes.txt"]
+
+
+@pytest.mark.parametrize("verb", ["run", "certify", "figure1"])
+def test_cli_output_dir_naming_a_file_is_config_error(tmp_path, capsys, monkeypatch, verb):
+    # refused with exit 2 before any integration, and the file is left as it was
+    def integrating(*args, **kwargs):
+        raise AssertionError("integrated before the output directory was checked")
+    monkeypatch.setattr(cli, "simulate", integrating)
+    monkeypatch.setattr(cli.iss_mod, "simulate", integrating)
+    monkeypatch.setenv("SATISS_OUTPUT_ROOT", str(tmp_path))
+    (tmp_path / "afile").write_text("a file\n")
+    body = MINIMAL.format(out="afile") + "output.states = true\ncertificate.members = 2\n"
+    argv = ["figure1", "afile"] if verb == "figure1" \
+        else [verb, str(write_config(tmp_path, body))]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: output_dir %r exists and is not " \
+        "a directory\n" % str(tmp_path / "afile")
+    assert (tmp_path / "afile").read_text() == "a file\n"
+
+
+def test_cli_output_dir_under_a_file_is_config_error(tmp_path, capsys):
+    # a path below a regular file cannot be made: exit 2, naming output_dir
+    (tmp_path / "afile").write_text("a file\n")
+    body = MINIMAL.format(out=tmp_path / "afile" / "out")
+    assert main(["run", str(write_config(tmp_path, body))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output_dir %r cannot be made: "
+                          % str(tmp_path / "afile" / "out"))
+    assert "Traceback" not in err
+
+
+def test_run_streams_states_in_bounded_memory(tmp_path):
+    # one block of rows per member is held, not the history: from T = 1 to
+    # T = 4 the peak traced memory grows by the per-step norms, well under a
+    # quarter of the 3000 x 127 doubles the added states take
+    peaks = []
+    for T in ("1.0", "4.0"):
+        body = MINIMAL.format(out=tmp_path / ("out_T" + T)).replace(
+            "domain.n_interior = 31", "domain.n_interior = 127").replace(
+            "time.T = 0.001", "time.T = " + T) + "output.states = true\n"
+        config = parse_config_text(body)
+        tracemalloc.start()
+        try:
+            _, files = run_experiment(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert "states.csv" in files
+    assert peaks[1] - peaks[0] < 0.25 * 3000 * 127 * 8
 
 
 def test_cli_certify_over_gain_cap_makes_no_output_dir(tmp_path, capsys):

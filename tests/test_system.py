@@ -17,10 +17,10 @@ from satiss import DissipativityGateFailed, DisturbanceSignal, Grid, \
 from satiss.cli import main
 from satiss.iss import gronwall_gap
 from satiss.saturation import hilbert_norm_map, pointwise_linf_map
-from satiss.system import LinearOperator, Trajectory, _ImexStepper, \
+from satiss.system import _BLOCK_ROWS, LinearOperator, Trajectory, _ImexStepper, \
     dissipativity_gate, dissipativity_tolerance
 
-from conftest import L, dense_operator
+from conftest import L, dense_operator, simulate_states
 
 
 def test_kdv_matrix_matches_hand_assembly():
@@ -301,7 +301,7 @@ def test_disturbance_kinds(grid127, kdv127, z0_cosine):
     assert np.all(vals[:, 0] == 0.0)
     assert np.all(vals[:, 1] == 0.05 * math.cos(2.0 * t))
     # the recorded ||d(t)||: ||const||_L2 = |const| * sqrt(h n)
-    runs = simulate(systems, [z0_cosine, z0_cosine], 0.01, 1e-3, keep_states=False)
+    runs = simulate(systems, [z0_cosine, z0_cosine], 0.01, 1e-3)
     assert np.all(runs[0].observables["norm_d"] == 0.0)
     expected = np.abs(0.05 * np.cos(2.0 * runs[1].times)) * math.sqrt(
         grid127.spacing_h * grid127.n_interior)
@@ -327,7 +327,7 @@ def test_cosine_table_is_the_per_step_cosine(m, T):
     systems = [assemble_closed_loop(A, None, DisturbanceSignal(a, f))
                for a, f in zip(amplitude, frequency)]
     zero = StateVector(A.grid, np.zeros(7))
-    times = simulate(systems, [zero] * m, T, dt, keep_states=False)[0].times
+    times = simulate(systems, [zero] * m, T, dt)[0].times
     n_steps = len(times) - 1
     last_dt = T - (n_steps - 1) * dt
     if abs(last_dt - dt) <= 1e-12 * dt:
@@ -377,11 +377,11 @@ def test_closed_loop_rhs_definitions(kdv127, grid127):
 def test_step_equilibrium_and_contraction(kdv127, grid127):
     sys_lin = assemble_closed_loop(kdv127, None, zero_disturbance())
     zero = StateVector(grid127, np.zeros(grid127.n_interior))
-    assert np.all(simulate(sys_lin, zero, 1e-3, 1e-3).states[-1] == 0.0)
+    assert np.all(simulate_states(sys_lin, zero, 1e-3, 1e-3)[1][-1] == 0.0)
 
     z = StateVector(grid127, 1.0 - np.cos(grid127.interior_nodes()))
     dt = 1e-3
-    out = StateVector(grid127, simulate(sys_lin, z, dt, dt).states[-1])
+    out = StateVector(grid127, simulate_states(sys_lin, z, dt, dt)[1][-1])
     # strict one-step decay ||z+|| <= ||z|| (1 - c dt) with c > 0
     assert norm_l2(out) <= norm_l2(z) * (1.0 - 0.5 * dt)
 
@@ -404,11 +404,11 @@ def test_step_second_order_self_convergence(kdv127, grid127):
     rng = np.random.default_rng(17)
     z0 = smooth_initial_data(grid127, kdv127, 2.0, rng)
     sys_lin = assemble_closed_loop(kdv127, None, zero_disturbance())
-    ref = simulate(sys_lin, z0, 1.0, 1e-4).states[-1]
+    ref = simulate_states(sys_lin, z0, 1.0, 1e-4)[1][-1]
     h = grid127.spacing_h
     errors = []
     for dt in (4e-3, 2e-3, 1e-3):
-        zt = simulate(sys_lin, z0, 1.0, dt).states[-1]
+        zt = simulate_states(sys_lin, z0, 1.0, dt)[1][-1]
         errors.append(math.sqrt(h * float(np.dot(zt - ref, zt - ref))))
     assert 3.0 <= errors[0] / errors[1] <= 5.0
     assert 3.0 <= errors[1] / errors[2] <= 5.0
@@ -418,8 +418,8 @@ def test_simulate_zero_initial_state(kdv127, grid127):
     sys_sat = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
                                    zero_disturbance())
     zero = StateVector(grid127, np.zeros(grid127.n_interior))
-    traj = simulate(sys_sat, zero, 0.05, 1e-3)
-    assert np.all(traj.states == 0.0)
+    traj, states = simulate_states(sys_sat, zero, 0.05, 1e-3)
+    assert states.shape == (51, 127) and np.all(states == 0.0)
     assert np.all(traj.observables["norm_l2"] == 0.0)
 
 
@@ -459,8 +459,8 @@ def test_graph_seminorm_monotone_for_smooth_data(kdv127, grid127):
     z0 = smooth_initial_data(grid127, kdv127, 4.0, rng)
     sigma = pointwise_linf_map(1.0, L)
     sys_sat = assemble_closed_loop(kdv127, sigma, zero_disturbance())
-    traj = simulate(sys_sat, z0, 2.0, 1e-3)
-    w = _rhs(sys_sat, traj.states.T, 0.0)  # one column per recorded state
+    _, states = simulate_states(sys_sat, z0, 2.0, 1e-3)
+    w = _rhs(sys_sat, states.T, 0.0)  # one column per recorded state
     seminorms = np.sqrt(grid127.spacing_h * np.sum(w * w, axis=0))
     rel_increase = np.diff(seminorms) / np.maximum(seminorms[:-1], 1e-300)
     assert np.max(rel_increase) <= 1e-6
@@ -495,9 +495,11 @@ def test_trajectory_csv_export(tmp_path, kdv127, grid127, z0_cosine):
     assert len(lines) == len(traj) + 1
 
     states_path = tmp_path / "states.csv"
-    traj.write_states_csv(states_path)
-    head = states_path.read_text().splitlines()[0]
-    assert head.startswith("t,z1,") and head.endswith(",z127")
+    with Trajectory.write_states_csv(states_path, grid127) as sink:
+        simulate(sys_sat, z0_cosine, 0.01, 1e-3, on_rows=sink)
+    lines = states_path.read_text().splitlines()
+    assert lines[0].startswith("t,z1,") and lines[0].endswith(",z127")
+    assert len(lines) == len(traj) + 1
 
     # determinism: identical bytes on re-export
     again = tmp_path / "again.csv"
@@ -514,20 +516,21 @@ def test_batched_simulate_matches_member_runs(kdv127, grid127, z0_cosine, sigma)
     systems = [assemble_closed_loop(kdv127, sigma, d) for d in disturbances]
     z0s = [StateVector(grid127, s * z0_cosine.values) for s in (0.2, 1.0, 2.0)]
     T, dt = 0.0505, 1e-3  # partial last step
-    batch = simulate(systems, z0s, T, dt)
-    lean = simulate(systems, z0s, T, dt, keep_states=False)
+    batch, batch_states = simulate_states(systems, z0s, T, dt)
+    lean = simulate(systems, z0s, T, dt)
     assert len(batch) == len(lean) == 3
-    for member, lean_member, sys_j, z0 in zip(batch, lean, systems, z0s):
-        alone = simulate(sys_j, z0, T, dt)
+    assert batch_states.shape == (3, len(batch[0]), 127)
+    for j, (member, lean_member, sys_j, z0) in enumerate(zip(batch, lean, systems, z0s)):
+        alone, states = simulate_states(sys_j, z0, T, dt)
         np.testing.assert_array_equal(member.times, alone.times)
-        scale = np.max(np.abs(alone.states))
-        assert np.max(np.abs(member.states - alone.states)) <= 1e-12 * scale
+        scale = np.max(np.abs(states))
+        assert np.max(np.abs(batch_states[j] - states)) <= 1e-12 * scale
         for c in Trajectory.OBSERVABLE_COLUMNS:
             np.testing.assert_allclose(member.observables[c], alone.observables[c],
                                        rtol=1e-12, atol=0.0)
             np.testing.assert_array_equal(lean_member.observables[c],
                                           member.observables[c])
-        assert lean_member.states is None
+        assert not hasattr(lean_member, "states")
 
 
 def test_batched_simulate_rejects_mixed_members(kdv127, z0_cosine):
@@ -568,6 +571,51 @@ def test_simulate_non_finite_norm_raises_diverged():
         simulate(sys_sat, z0, 2e-3, 1e-3)
     assert (info.value.step, info.value.member, info.value.quantity) \
         == (0, 0, "norm_graph")
+
+
+def test_simulate_divergence_in_a_later_block_names_its_first_step():
+    # A = 1000 I grows |z| about threefold per step: member 1, from 1e290,
+    # overflows at step 34, inside the second block of rows
+    grid = Grid(L, 7)
+    loop = assemble_closed_loop(dense_operator(grid, 1000.0 * np.eye(7)), None)
+    z0s = [StateVector(grid, np.zeros(7)), StateVector(grid, np.full(7, 1e290))]
+    with pytest.raises(SimulationDiverged, match="state of member 1") as info:
+        simulate([loop, loop], z0s, 0.1, 1e-3)
+    step = info.value.step
+    assert step >= _BLOCK_ROWS
+    # stopped one step earlier, every recorded state is finite; only the
+    # squared norm, past 1e308 from step 0, is not
+    with pytest.raises(SimulationDiverged) as info:
+        simulate([loop, loop], z0s, (step - 1) * 1e-3, 1e-3)
+    assert (info.value.step, info.value.member, info.value.quantity) == (0, 1, "norm_l2")
+
+
+@pytest.mark.parametrize("T", [0.01, 0.063, 0.0705], ids=["short", "full_blocks", "partial"])
+def test_simulate_hands_out_the_recorded_states_in_blocks(kdv127, z0_cosine, T):
+    # blocks of _BLOCK_ROWS rows, the last one shorter, in order of time: the
+    # states whose norms the trajectory records; a list of one system gets
+    # the same rows with a leading member axis
+    sys_sat = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
+                                   cosine_disturbance(0.05, 1.0))
+    calls = {False: [], True: []}
+    for batch in calls:
+        def sink(times, rows, seen=calls[batch]):
+            seen.append((times.copy(), rows.copy()))
+        traj = simulate([sys_sat] if batch else sys_sat,
+                        [z0_cosine] if batch else z0_cosine, T, 1e-3, on_rows=sink)
+    traj = traj[0]
+    sizes = [len(times) for times, _ in calls[False]]
+    assert sizes[:-1] == [_BLOCK_ROWS] * (len(sizes) - 1) and 0 < sizes[-1] <= _BLOCK_ROWS
+    np.testing.assert_array_equal(np.concatenate([t for t, _ in calls[False]]), traj.times)
+    for (times, rows), (batch_times, batch_rows) in zip(calls[False], calls[True]):
+        assert rows.shape == (len(times), 127) and batch_rows.shape == (1,) + rows.shape
+        assert batch_times.tobytes() == times.tobytes()
+        assert batch_rows.tobytes() == rows.tobytes()
+    states = np.concatenate([rows for _, rows in calls[False]])
+    np.testing.assert_array_equal(np.max(np.abs(states), axis=1),
+                                  traj.observables["norm_linf"])
+    np.testing.assert_allclose(np.sqrt(kdv127.grid.spacing_h * np.sum(states ** 2, axis=1)),
+                               traj.observables["norm_l2"], rtol=1e-13)
 
 
 # sha256 of the artifacts of four runs at n = 127, T = 0.5, as written when
@@ -614,9 +662,9 @@ def test_integrator_artifacts_golden(tmp_path, capsys, kdv127, grid127, z0_cosin
         else:
             loop = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
                                         cosine_disturbance(0.05, 1.0))
-        traj = simulate(loop, z0_cosine, T, dt)
         names = [tmp_path / "states.csv", tmp_path / "observables.csv"]
-        traj.write_states_csv(names[0])
+        with Trajectory.write_states_csv(names[0], grid127) as sink:
+            traj = simulate(loop, z0_cosine, T, dt, on_rows=sink)
         traj.write_observables_csv(names[1])
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in names)
     assert digests == _INTEGRATOR_DIGESTS[case]
