@@ -11,10 +11,13 @@ Configs are flat ``key = value`` text with dotted section keys, e.g.
 ``domain.L = 6.283185307179586``.  Each key's row in ``_SCHEMA`` gives its
 parser, its default and the values it allows; a config is checked against
 every row before any file is written.  The environment variable
-``SATISS_OUTPUT_ROOT`` prefixes relative output directories.  Exit codes:
-0 success, 2 configuration error, 3 gate failure (dissipativity or
-parameter infeasibility, or axiom violations) or a diverged integration
-(a non-finite state, named by step and member), 4 certification failure.
+``SATISS_OUTPUT_ROOT`` prefixes relative output directories.  A verb makes
+its output directory first, and if it fails, removes what it made or wrote
+there.  Exit codes: 0 success, 2 configuration error, 3 gate failure
+(dissipativity or parameter infeasibility, or axiom violations, of
+``axioms`` or of the sweep ``run`` wrote) or a diverged integration (a
+non-finite state, named by step and member), 4 certification failure (of
+``certify`` or of the certificate ``run`` wrote).
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import iss as iss_mod
 from . import lyapunov as lyap
-from .csvio import write_csv
+from .csvio import kv_text, write_csv
 from .errors import CertificationError, ConfigError, DissipativityGateFailed, \
     InfeasibleParameters, ParameterError, SimulationDiverged
 from .saturation import _check_sweep, check_axioms, hilbert_norm_map, \
@@ -114,36 +117,15 @@ _SCHEMA = {
 }
 
 
-class ExperimentConfig:
-    """Validated experiment description; attributes mirror the dotted keys."""
-
-    def __init__(self, entries: dict):
-        self.entries = entries
-
-    def __getitem__(self, key):
-        return self.entries[key]
-
-    @property
-    def echo_lines(self):
-        out = []
-        for key in sorted(self.entries):
-            out.append("config %s = %s" % (key, _canonical(self.entries[key])))
-        return out
+#: saturation.kind -> factory (level, L) of the map; ``satiss axioms`` also
+#: takes a kind by its first word
+_SATURATION_MAPS = {
+    "pointwise_linf": pointwise_linf_map,
+    "hilbert_norm": lambda level, L: hilbert_norm_map(level),
+}
 
 
-def _canonical(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, list):
-        return ",".join(format(v, ".17g") for v in value)
-    if value is None:
-        return "none"
-    return str(value)
-
-
-def parse_config(path) -> ExperimentConfig:
+def parse_config(path) -> dict:
     try:
         with open(path) as fh:
             text = fh.read()
@@ -152,7 +134,8 @@ def parse_config(path) -> ExperimentConfig:
     return parse_config_text(text)
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
+def parse_config_text(text: str) -> dict:
+    """The validated config: every ``_SCHEMA`` key with its parsed value."""
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -174,11 +157,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if default is _REQUIRED:
             raise ConfigError("missing field %r" % key)
         entries[key] = default
-    return _validate(ExperimentConfig(entries))
+    return _validate(entries)
 
 
-def _validate(config: ExperimentConfig) -> ExperimentConfig:
-    e = config.entries
+def _validate(e: dict) -> dict:
     for key, (_, _, allowed) in _SCHEMA.items():
         values = e[key] if isinstance(e[key], list) else [e[key]]
         if allowed is not None and not all(map(allowed[0], values)):
@@ -187,7 +169,7 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError("field %r must be finite" % key)
     if e["time.dt"] > e["time.T"]:
         raise ConfigError("field 'time.dt' must not exceed 'time.T'")
-    sigma = _saturation_map(e["saturation.kind"], e["saturation.level"], e["domain.L"])
+    sigma = _saturation_map(e)
     k = sigma.lipschitz_k if sigma is not None else 1.0
     if e["time.dt"] * k >= 1.0:
         raise ConfigError("field 'time.dt' violates dt * k < 1 for the explicit "
@@ -211,16 +193,13 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
                          e["analysis.axioms_amplitude"] * e["saturation.level"])
         except ParameterError as exc:
             raise ConfigError("field 'analysis.axioms_amplitude': %s" % exc)
-    return config
+    return e
 
 
-def _saturation_map(kind, level, L):
-    """The map named by a ``saturation.kind`` value; None for 'none'."""
-    if kind == "none":
-        return None
-    if kind == "pointwise_linf":
-        return pointwise_linf_map(level, L)
-    return hilbert_norm_map(level)
+def _saturation_map(config):
+    """The map of a config's ``saturation.kind``; None for 'none'."""
+    make = _SATURATION_MAPS.get(config["saturation.kind"])
+    return None if make is None else make(config["saturation.level"], config["domain.L"])
 
 
 def _disturbance(config):
@@ -250,146 +229,132 @@ def _closed_loop(config):
     saturation map and disturbance."""
     grid = Grid(config["domain.L"], config["domain.n_interior"])
     A = build_kdv_operator(grid)
-    sigma = _saturation_map(config["saturation.kind"], config["saturation.level"],
-                            config["domain.L"])
-    return grid, A, assemble_closed_loop(A, sigma, _disturbance(config))
-
-
-def _output_path(path_str):
-    """The output directory ``path_str``, under $SATISS_OUTPUT_ROOT when
-    relative; ConfigError if something other than a directory is there."""
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    if root and not os.path.isabs(path_str):
-        path_str = os.path.join(root, path_str)
-    if os.path.exists(path_str) and not os.path.isdir(path_str):
-        raise ConfigError("output_dir %r exists and is not a directory" % path_str)
-    return path_str
-
-
-def _make_output_dir(path):
-    """Create the directory ``path`` of ``_output_path`` with its missing
-    parents.  Returns the outermost directory this call made, None if
-    ``path`` was there; ConfigError if it cannot be made.  A new directory
-    in an existing one, the usual case, costs a single ``mkdir`` call."""
-    try:
-        os.mkdir(path)
-        return path
-    except FileExistsError:
-        if os.path.isdir(path):
-            return None
-        raise ConfigError("output_dir %r exists and is not a directory" % path)
-    except FileNotFoundError:
-        path = os.path.abspath(path)
-        outer = _make_output_dir(os.path.dirname(path))
-        inner = _make_output_dir(path)
-        return inner if outer is None else outer
-    except OSError as exc:
-        raise ConfigError("output_dir %r cannot be made: %s" % (path, exc))
+    return grid, A, assemble_closed_loop(A, _saturation_map(config), _disturbance(config))
 
 
 @contextmanager
-def _streamed_states(outdir, name, grid):
-    """Make ``outdir`` and yield the sink that streams a run's state rows to
-    ``outdir/name``.  If the block raises, the partial file is removed, and
-    so are the directories made here."""
-    made = _make_output_dir(outdir)
-    path = os.path.join(outdir, name)
+def _output_dir(path):
+    """Make ``path`` (under $SATISS_OUTPUT_ROOT when relative) with its
+    missing parents, or ConfigError, and yield (outdir, files) to a body
+    that lists each file in ``files`` just before it opens it.  If the body
+    raises, the directories made here are removed, or else the listed files."""
+    root = os.environ.get(OUTPUT_ROOT_ENV)
+    if root and not os.path.isabs(path):
+        path = os.path.join(root, path)
+    made, head = None, os.path.abspath(path)
+    while not os.path.exists(head):
+        made, head = head, os.path.dirname(head)
     try:
-        with Trajectory.write_states_csv(path, grid) as sink:
-            yield sink
+        os.makedirs(path, exist_ok=True)
+    except FileExistsError:
+        raise ConfigError("output_dir %r exists and is not a directory" % path)
+    except OSError as exc:
+        raise ConfigError("output_dir %r cannot be made: %s" % (path, exc))
+    files = []
+    try:
+        yield path, files
     except BaseException:
         if made is not None:
             shutil.rmtree(made)
         else:
-            with suppress(FileNotFoundError):
-                os.remove(path)
+            for name in files:
+                with suppress(FileNotFoundError):
+                    os.remove(os.path.join(path, name))
         raise
 
 
-def _write_text(outdir, files, name, text):
-    with open(os.path.join(outdir, name), "w") as fh:
-        fh.write(text)
+def _listed(outdir, files, name):
+    """The path of ``name`` in ``outdir``, listed in ``files`` first."""
     files.append(name)
+    return os.path.join(outdir, name)
 
 
-def _write_manifest(outdir, config_lines, files):
-    path = os.path.join(outdir, "manifest.txt")
-    with open(path, "w") as fh:
-        fh.write("# experiment manifest\n")
-        for line in config_lines:
-            fh.write(line + "\n")
-        for name in sorted(files):
-            fh.write("file %s\n" % name)
-        fh.write("file manifest.txt\n")
-    return path
+def _write_text(outdir, files, name, text):
+    with open(_listed(outdir, files, name), "w") as fh:
+        fh.write(text)
 
 
-def run_experiment(config: ExperimentConfig, output_dir=None):
+def _write_manifest(outdir, files, config_pairs):
+    """The config, then every file of ``files`` and the manifest itself."""
+    names = sorted(files) + ["manifest.txt"]
+    echo = kv_text((("config " + key, value) for key, value in config_pairs), " = ")
+    _write_text(outdir, files, "manifest.txt", "# experiment manifest\n" + echo
+                + "".join("file %s\n" % name for name in names))
+
+
+def _require_valid(cert):
+    if not cert.valid():
+        raise CertificationError("certificate max violation %g exceeds 1e-6"
+                                 % cert.max_violation)
+
+
+def run_experiment(config: dict, output_dir=None):
     """Simulate per config, run the toggled analyses, write all artifacts.
 
-    Returns the list of files written (relative to the output directory).
-    Deterministic for a fixed (config, rng_seed): identical bytes per run.
+    Returns the output directory and the files written there.  Once every
+    artifact is written, a sweep that refutes the saturation map's axioms
+    or constants raises InfeasibleParameters, and an invalid certificate
+    CertificationError.  Deterministic for a fixed (config, rng_seed):
+    identical bytes per run.
     """
-    outdir = _output_path(output_dir or config["output_dir"])
-    grid, A, sys_loop = _closed_loop(config)
-    sigma = sys_loop.sigma
-    z0 = _initial_state(config, grid, A)
-    T, dt = config["time.T"], config["time.dt"]
-    seed = config["rng_seed"]
+    refuted, cert = [], None
+    with _output_dir(output_dir or config["output_dir"]) as (outdir, files):
+        grid, A, sys_loop = _closed_loop(config)
+        sigma = sys_loop.sigma
+        z0 = _initial_state(config, grid, A)
+        T, dt = config["time.T"], config["time.dt"]
+        seed = config["rng_seed"]
 
-    C = lyap.measure_decay_constant(linear_loop_operator(A))
-    params = _dissipation_params(config, A, sigma, z0, C, grid, seed)
+        C = lyap.measure_decay_constant(linear_loop_operator(A))
+        params = _dissipation_params(config, A, sigma, z0, C, grid, seed)
 
-    # the directory is made just before a run that streams its states, and
-    # otherwise only after the run, so that a refused config or a diverged
-    # run leaves none
-    states = config["output.states"]
-    with _streamed_states(outdir, "states.csv", grid) if states \
-            else nullcontext() as sink:
-        traj = simulate(sys_loop, z0, T, dt, on_rows=sink)
+        with Trajectory.write_states_csv(_listed(outdir, files, "states.csv"), grid) \
+                if config["output.states"] else nullcontext() as sink:
+            traj = simulate(sys_loop, z0, T, dt, on_rows=sink)
         if params:
             traj.observables.update((name, series(traj)) for name, series
                                     in lyap.trajectory_observers(params).items())
-    _make_output_dir(outdir)
-    traj.write_observables_csv(os.path.join(outdir, "trajectory.csv"))
-    files = ["trajectory.csv"] + (["states.csv"] if states else [])
+        traj.write_observables_csv(_listed(outdir, files, "trajectory.csv"))
 
-    if config["analysis.axioms"]:
-        report = check_axioms(sigma, grid, config["analysis.axioms_samples"],
-                              config["analysis.axioms_amplitude"]
-                              * config["saturation.level"], seed)
-        _write_text(outdir, files, "axioms_%s.txt" % sigma.kind.value,
-                    report.as_kv_text())
+        if config["analysis.axioms"]:
+            report = check_axioms(sigma, grid, config["analysis.axioms_samples"],
+                                  config["analysis.axioms_amplitude"]
+                                  * config["saturation.level"], seed)
+            refuted = report.refuted(sigma)
+            _write_text(outdir, files, "axioms_%s.txt" % sigma.kind.value,
+                        report.as_kv_text())
 
-    which = config["analysis.dissipation"]
-    if which != "off":
-        report, summary = _dissipation_report(traj, params, which)
-        name = "dissipation_%s.csv" % which
-        report.write_csv(os.path.join(outdir, name))
-        files.append(name)
-        _write_text(outdir, files, "dissipation_%s_summary.txt" % which, summary)
+        which = config["analysis.dissipation"]
+        if which != "off":
+            report, summary = _dissipation_report(traj, params, which)
+            report.write_csv(_listed(outdir, files, "dissipation_%s.csv" % which))
+            _write_text(outdir, files, "dissipation_%s_summary.txt" % which, summary)
 
-    if config["analysis.gap"]:
-        gap = iss_mod.gronwall_gap(sys_loop, z0, sys_loop.d, T, dt)
-        gap.write_csv(os.path.join(outdir, "gap.csv"))
-        files.append("gap.csv")
+        if config["analysis.gap"]:
+            gap = iss_mod.gronwall_gap(sys_loop, z0, sys_loop.d, T, dt)
+            gap.write_csv(_listed(outdir, files, "gap.csv"))
 
-    r_list = config["analysis.semiglobal_r"]
-    if r_list:
-        fit = iss_mod.fit_semiglobal(replace(sys_loop, d=zero_disturbance()),
-                                     r_list, config["analysis.semiglobal_samples"],
-                                     T, dt, seed)
-        _write_text(outdir, files, "semiglobal.txt", "".join(
-            "r=%.17g K=%.17g mu=%.17g lift=%.17g\n"
-            % (r, fit.K_of_r[i], fit.mu_of_r[i], fit.fit_residuals[i])
-            for i, r in enumerate(fit.r_values)))
+        r_list = config["analysis.semiglobal_r"]
+        if r_list:
+            fit = iss_mod.fit_semiglobal(replace(sys_loop, d=zero_disturbance()),
+                                         r_list, config["analysis.semiglobal_samples"],
+                                         T, dt, seed)
+            _write_text(outdir, files, "semiglobal.txt", "".join(
+                "r=%.17g K=%.17g mu=%.17g lift=%.17g\n"
+                % (r, fit.K_of_r[i], fit.mu_of_r[i], fit.fit_residuals[i])
+                for i, r in enumerate(fit.r_values)))
 
-    if config["analysis.certificate"]:
-        cert = _run_certificate(config, sys_loop, grid, A, T, dt)
-        _write_text(outdir, files, "certificate.txt", cert.as_kv_text())
+        if config["analysis.certificate"]:
+            cert = _run_certificate(config, sys_loop, grid, A, T, dt)
+            _write_text(outdir, files, "certificate.txt", cert.as_kv_text())
 
-    _write_manifest(outdir, config.echo_lines, files)
-    return outdir, files + ["manifest.txt"]
+        _write_manifest(outdir, files, sorted(config.items()))
+    if refuted:
+        raise InfeasibleParameters("the axiom sweep of %s refutes %s"
+                                   % (sigma.kind.value, ", ".join(refuted)))
+    if cert is not None:
+        _require_valid(cert)
+    return outdir, files
 
 
 def _dissipation_params(config, A, sigma, z0, C, grid, seed):
@@ -407,28 +372,24 @@ def _dissipation_params(config, A, sigma, z0, C, grid, seed):
 
 
 def _dissipation_report(traj, params, which):
+    """The report of V, V1 or V2 and its summary text."""
     if which == "v":
-        report = lyap.dissipation_report(traj, "V", alpha_coeff=1.0, rho_gain=0.0)
-        summary = ("which=V\nalpha=1\nrho=0\nviolation_count=%d\nworst_margin=%.17g\n"
-                   % (report.violation_count, report.worst_margin))
-        return report, summary
+        coeffs = [("alpha", 1.0), ("rho", 0.0)]
+    elif which == "v1":
+        coeffs = [("alpha", params.alpha), ("alpha_no_C0", params.alpha_no_C0),
+                  ("rho", params.rho)]
+    else:
+        coeffs = [("alpha", params.C), ("rho", 0.0), ("mu", params.mu),
+                  ("M_tilde", params.M_tilde), ("r", params.r)]
+    name, alpha, rho = which.upper(), coeffs[0][1], dict(coeffs)["rho"]
+    report = lyap.dissipation_report(traj, name, alpha, rho)
+    pairs = [("which", name), *coeffs, ("violation_count", report.violation_count),
+             ("worst_margin", report.worst_margin)]
     if which == "v1":
-        report = lyap.dissipation_report(traj, "V1", params.alpha, params.rho)
-        alt = lyap.dissipation_report(traj, "V1", params.alpha_no_C0, params.rho)
-        summary = ("which=V1\nalpha=%.17g\nalpha_no_C0=%.17g\nrho=%.17g\n"
-                   "violation_count=%d\nworst_margin=%.17g\n"
-                   "violation_count_no_C0=%d\nworst_margin_no_C0=%.17g\n"
-                   % (params.alpha, params.alpha_no_C0, params.rho,
-                      report.violation_count, report.worst_margin,
-                      alt.violation_count, alt.worst_margin))
-        return report, summary
-    alpha = params.C
-    report = lyap.dissipation_report(traj, "V2", alpha, 0.0)
-    summary = ("which=V2\nalpha=%.17g\nrho=0\nmu=%.17g\nM_tilde=%.17g\nr=%.17g\n"
-               "violation_count=%d\nworst_margin=%.17g\n"
-               % (alpha, params.mu, params.M_tilde, params.r,
-                  report.violation_count, report.worst_margin))
-    return report, summary
+        alt = lyap.dissipation_report(traj, name, params.alpha_no_C0, rho)
+        pairs += [("violation_count_no_C0", alt.violation_count),
+                  ("worst_margin_no_C0", alt.worst_margin)]
+    return report, kv_text(pairs)
 
 
 def _run_certificate(config, sys_loop, grid, A, T, dt):
@@ -464,97 +425,65 @@ def reproduce_figure1(output_dir):
     state history of run (a), the paired norm traces, the observables of
     run (a), and a manifest.
     """
-    outdir = _output_path(output_dir)
-    L = 2.0 * math.pi
-    grid = Grid(L, FIGURE1_N_INTERIOR)
-    A = build_kdv_operator(grid)
-    x = grid.interior_nodes()
-    z0 = StateVector(grid, 1.0 - np.cos(x))
-    sigma = pointwise_linf_map(1.0, L)
+    with _output_dir(output_dir) as (outdir, files):
+        L = 2.0 * math.pi
+        grid = Grid(L, FIGURE1_N_INTERIOR)
+        A = build_kdv_operator(grid)
+        z0 = StateVector(grid, 1.0 - np.cos(grid.interior_nodes()))
+        sigma = pointwise_linf_map(1.0, L)
 
-    with _streamed_states(outdir, "figure1_states.csv", grid) as sink:
-        disturbed = simulate(assemble_closed_loop(A, sigma, cosine_disturbance(0.05, 1.0)),
-                             z0, FIGURE1_T, FIGURE1_DT, on_rows=sink)
-    linear = simulate(assemble_closed_loop(A, None, zero_disturbance()),
-                      z0, FIGURE1_T, FIGURE1_DT)
+        with Trajectory.write_states_csv(_listed(outdir, files, "figure1_states.csv"),
+                                         grid) as sink:
+            disturbed = simulate(assemble_closed_loop(A, sigma,
+                                                      cosine_disturbance(0.05, 1.0)),
+                                 z0, FIGURE1_T, FIGURE1_DT, on_rows=sink)
+        linear = simulate(assemble_closed_loop(A, None, zero_disturbance()),
+                          z0, FIGURE1_T, FIGURE1_DT)
 
-    files = ["figure1_states.csv"]
-    disturbed.write_observables_csv(os.path.join(outdir, "figure1_observables.csv"))
-    files.append("figure1_observables.csv")
-    write_csv(os.path.join(outdir, "figure1_norms.csv"),
-              ("t", "norm_disturbed", "norm_linear"),
-              [disturbed.times, disturbed.observables["norm_l2"],
-               linear.observables["norm_l2"]])
-    files.append("figure1_norms.csv")
-    config_lines = [
-        "config preset = figure1",
-        "config domain.L = %s" % format(L, ".17g"),
-        "config domain.n_interior = %d" % FIGURE1_N_INTERIOR,
-        "config time.T = %s" % format(FIGURE1_T, ".17g"),
-        "config time.dt = %s" % format(FIGURE1_DT, ".17g"),
-        "config initial.family = one_minus_cosine",
-        "config disturbance = 0.05*cos(t)",
-        "config saturation.kind = pointwise_linf",
-        "config saturation.level = 1",
-    ]
-    _write_manifest(outdir, config_lines, files)
-    return outdir, files + ["manifest.txt"]
+        disturbed.write_observables_csv(_listed(outdir, files, "figure1_observables.csv"))
+        write_csv(_listed(outdir, files, "figure1_norms.csv"),
+                  ("t", "norm_disturbed", "norm_linear"),
+                  [disturbed.times, disturbed.observables["norm_l2"],
+                   linear.observables["norm_l2"]])
+        _write_manifest(outdir, files, [
+            ("preset", "figure1"), ("domain.L", L),
+            ("domain.n_interior", FIGURE1_N_INTERIOR), ("time.T", FIGURE1_T),
+            ("time.dt", FIGURE1_DT), ("initial.family", "one_minus_cosine"),
+            ("disturbance", "0.05*cos(t)"), ("saturation.kind", "pointwise_linf"),
+            ("saturation.level", 1.0)])
+    return outdir, files
 
 
-def _cmd_run(args):
-    config = parse_config(args.config)
-    outdir, files = run_experiment(config)
+def _wrote(result):
+    outdir, files = result
     print("wrote %d artifacts to %s" % (len(files), outdir))
     return 0
-
-
-def _cmd_figure1(args):
-    outdir, files = reproduce_figure1(args.outdir)
-    print("wrote %d artifacts to %s" % (len(files), outdir))
-    return 0
-
-
-_AXIOM_KIND_ALIASES = {
-    "pointwise_linf": "pointwise_linf",
-    "pointwise": "pointwise_linf",
-    "hilbert_norm": "hilbert_norm",
-    "hilbert": "hilbert_norm",
-}
 
 
 def _cmd_axioms(args):
-    kind = _AXIOM_KIND_ALIASES.get(args.kind)
-    if kind is None:
+    kinds = [kind for kind in _SATURATION_MAPS if args.kind in (kind, kind.split("_")[0])]
+    if not kinds:
         raise ConfigError("unknown saturation kind %r" % args.kind)
     if args.seed < 0:
         raise ConfigError("--seed must be non-negative")
-    level = args.level
     L = 2.0 * math.pi
-    sigma = _saturation_map(kind, level, L)
-    report = check_axioms(sigma, Grid(L, 127), args.samples, 3.0 * level, args.seed)
-    sys.stdout.write("kind=%s\nlevel=%s\n" % (kind, format(level, ".17g")))
+    sigma = _SATURATION_MAPS[kinds[0]](args.level, L)
+    report = check_axioms(sigma, Grid(L, 127), args.samples, 3.0 * args.level, args.seed)
+    sys.stdout.write(kv_text([("kind", kinds[0]), ("level", args.level)]))
     sys.stdout.write(report.as_kv_text())
-    failed = (report.bound_violations > 0 or report.monotonicity_violations > 0
-              or report.lipschitz_estimate > sigma.lipschitz_k + 1e-12
-              or report.item4_max_residual > 1e-10
-              or report.item5_C0_estimate > sigma.item5_C0 + 1e-10)
-    return 3 if failed else 0
+    return 3 if report.refuted(sigma) else 0
 
 
 def _cmd_certify(args):
     config = parse_config(args.config)
-    outdir = _output_path(config["output_dir"])
-    grid, A, sys_loop = _closed_loop(config)
-    cert = _run_certificate(config, sys_loop, grid, A, config["time.T"],
-                            config["time.dt"])
-    _make_output_dir(outdir)
-    files = []
-    _write_text(outdir, files, "certificate.txt", cert.as_kv_text())
-    _write_manifest(outdir, config.echo_lines, files)
+    with _output_dir(config["output_dir"]) as (outdir, files):
+        grid, A, sys_loop = _closed_loop(config)
+        cert = _run_certificate(config, sys_loop, grid, A, config["time.T"],
+                                config["time.dt"])
+        _write_text(outdir, files, "certificate.txt", cert.as_kv_text())
+        _write_manifest(outdir, files, sorted(config.items()))
     sys.stdout.write(cert.as_kv_text())
-    if not cert.valid():
-        raise CertificationError("certificate max violation %g exceeds 1e-6"
-                                 % cert.max_violation)
+    _require_valid(cert)
     return 0
 
 
@@ -566,10 +495,10 @@ def _build_parser():
     sub = parser.add_subparsers(dest="verb", required=True)
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=lambda args: _wrote(run_experiment(parse_config(args.config))))
     p_fig = sub.add_parser("figure1", help="disturbed vs linear comparison preset")
     p_fig.add_argument("outdir")
-    p_fig.set_defaults(func=_cmd_figure1)
+    p_fig.set_defaults(func=lambda args: _wrote(reproduce_figure1(args.outdir)))
     p_ax = sub.add_parser("axioms", help="randomized saturation axiom sweep")
     p_ax.add_argument("kind")
     p_ax.add_argument("level", type=float)

@@ -1,5 +1,6 @@
-"""CSV artifacts: every value as ``%.17g``, formatted a block at a time.
+"""Artifacts: every value as ``%.17g``, CSVs formatted a block at a time.
 
+``text_value`` spells a value of a ``key=value`` text artifact.
 ``%.17g`` gives the 17 significant digits that read back bit for bit.
 Python formats them one float at a time, near 1 us each: 0.8 s for the
 1.15 M values of the ``figure1`` state history on a 2-core Xeon.
@@ -229,6 +230,23 @@ def csv_writer(path, header):
                 fh.write(format_block(np.column_stack(
                     [c[start:start + step] for c in columns])))
         yield write
+
+
+def text_value(value) -> str:
+    """A value as text artifacts spell it: a float as ``'%.17g'``, a bool as
+    true or false, None as none and a list as its entries joined by commas."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.17g" % value
+    if isinstance(value, list):
+        return ",".join(map(text_value, value))
+    return "none" if value is None else str(value)
+
+
+def kv_text(pairs, sep="=") -> str:
+    """One ``key=value`` line per (key, value) pair, in order."""
+    return "".join("%s%s%s\n" % (key, sep, text_value(value)) for key, value in pairs)
 
 
 def write_csv(path, header, columns):

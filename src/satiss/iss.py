@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import kv_text, write_csv
 from .errors import CertificationError, ParameterError
 from .spaces import Grid, StateVector, norm_graph, norm_l2, random_smooth_values
 from .system import SaturatedSystem, Trajectory, simulate, zero_disturbance
@@ -230,15 +230,7 @@ class IssCertificate:
         return self.max_violation <= tolerance
 
     def as_kv_text(self) -> str:
-        lines = [
-            "K=%.17g" % self.K,
-            "mu=%.17g" % self.mu,
-            "rho_gain=%.17g" % self.rho_gain,
-            "ensemble_size=%d" % self.ensemble_size,
-            "max_violation=%.17g" % self.max_violation,
-            "valid=%s" % ("true" if self.valid() else "false"),
-        ]
-        return "\n".join(lines) + "\n"
+        return kv_text([*vars(self).items(), ("valid", self.valid())])
 
 
 def _disturbance_energy(traj: Trajectory) -> float:

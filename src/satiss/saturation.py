@@ -31,6 +31,7 @@ import numpy as np
 # the clip ufunc itself: np.clip reaches it through Python wrappers
 from numpy._core.umath import clip as _clip
 
+from .csvio import kv_text
 from .errors import ParameterError
 from .spaces import Grid, random_smooth_values
 
@@ -142,15 +143,18 @@ class AxiomReport:
     samples_used: int
 
     def as_kv_text(self) -> str:
-        lines = [
-            "bound_violations=%d" % self.bound_violations,
-            "monotonicity_violations=%d" % self.monotonicity_violations,
-            "lipschitz_estimate=%.17g" % self.lipschitz_estimate,
-            "item4_max_residual=%.17g" % self.item4_max_residual,
-            "item5_C0_estimate=%.17g" % self.item5_C0_estimate,
-            "samples_used=%d" % self.samples_used,
-        ]
-        return "\n".join(lines) + "\n"
+        return kv_text(vars(self).items())
+
+    def refuted(self, sigma: SaturationMap) -> list:
+        """Names of the entries that refute an axiom of ``sigma`` or one of
+        its declared constants k and C0; empty when none does."""
+        return [name for name, failed in (
+            ("bound_violations", self.bound_violations > 0),
+            ("monotonicity_violations", self.monotonicity_violations > 0),
+            ("lipschitz_estimate", self.lipschitz_estimate > sigma.lipschitz_k + 1e-12),
+            ("item4_max_residual", self.item4_max_residual > 1e-10),
+            ("item5_C0_estimate", self.item5_C0_estimate > sigma.item5_C0 + 1e-10))
+            if failed]
 
 
 #: Samples per block of the axiom sweep: a few hundred kB per block array,

@@ -2,6 +2,7 @@ import hashlib
 import os
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from satiss import cli
 from satiss.cli import main, parse_config_text, reproduce_figure1, run_experiment
 from satiss.errors import ConfigError, SimulationDiverged
+from satiss.iss import IssCertificate
 
 from conftest import L
 
@@ -197,11 +199,11 @@ def test_cli_overflowing_graph_norm_is_divergence(tmp_path, capsys):
 
 
 def test_cli_diverged_run_makes_no_output_dir(tmp_path, capsys):
-    # without states the output directory is made after the integration;
-    # with them, the streamed states.csv and the directories made for it are
-    # removed.  So a run that diverges leaves none behind, whether a state
-    # turns non-finite in the step loop (amplitude 1e307, step 1) or a norm
-    # does after every row was written (1e153, the norm check after the loop)
+    # the directories made for the run are removed, with the streamed
+    # states.csv when there is one.  So a run that diverges leaves none
+    # behind, whether a state turns non-finite in the step loop (amplitude
+    # 1e307, step 1) or a norm does after every row was written (1e153, the
+    # norm check after the loop)
     out = tmp_path / "div_out"
     for amplitude, message in (("1e153", "norm_graph of member 0 is not finite at step 0"),
                                ("1e307", "state of member 0 is not finite at step 1")):
@@ -278,12 +280,59 @@ def test_run_streams_states_in_bounded_memory(tmp_path):
 
 def test_cli_certify_over_gain_cap_makes_no_output_dir(tmp_path, capsys):
     # member 2 is disturbed, so its gain exceeds a cap of 0; the certificate
-    # fails before the output directory is made
+    # fails before it is written, and the output directory made for it is
+    # removed
     out = tmp_path / "cert_out"
     body = MINIMAL.format(out=out) + "certificate.members = 3\ncertificate.rho_cap = 0\n"
     assert main(["certify", str(write_config(tmp_path, body))]) == 4
     assert capsys.readouterr().err.startswith("certification failure: required gain ")
     assert not out.exists()
+
+
+def test_cli_run_over_gain_cap_leaves_nothing_behind(tmp_path, capsys):
+    # the trajectory is written before the certificate fails: a new output
+    # directory is removed, and one that was there keeps only what it held
+    out = tmp_path / "cert_out"
+    body = MINIMAL.format(out=out) + ("analysis.certificate = true\n"
+                                      "certificate.members = 3\ncertificate.rho_cap = 0\n")
+    path = write_config(tmp_path, body)
+    assert main(["run", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("certification failure: required gain ")
+    assert not out.exists()
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    assert main(["run", str(path)]) == 4
+    assert sorted(os.listdir(out)) == ["notes.txt"]
+
+
+def _refuting_map(monkeypatch):
+    # the pointwise clamp, declaring a C0 below what the sweep measures
+    make = cli._SATURATION_MAPS["pointwise_linf"]
+    monkeypatch.setitem(cli._SATURATION_MAPS, "pointwise_linf",
+                        lambda level, L: replace(make(level, L), item5_C0=1e-3))
+    return "analysis.axioms = true\nanalysis.axioms_samples = 50\n", 3, \
+        "gate failure: the axiom sweep of pointwise_linf refutes item5_C0_estimate\n"
+
+
+def _invalid_certificate(monkeypatch):
+    monkeypatch.setattr(cli.iss_mod, "iss_certificate",
+                        lambda *args, **kwargs: IssCertificate(1.0, 1.0, 0.0, 1, 0.5))
+    return "analysis.certificate = true\n", 4, \
+        "certification failure: certificate max violation 0.5 exceeds 1e-6\n"
+
+
+@pytest.mark.parametrize("judged", [_refuting_map, _invalid_certificate],
+                         ids=["refuted_axiom", "invalid_certificate"])
+def test_cli_run_fails_on_what_it_wrote(tmp_path, capsys, monkeypatch, judged):
+    # as `axioms` and `certify` do, but after every artifact is written
+    extra, code, message = judged(monkeypatch)
+    out = tmp_path / "judged_out"
+    assert main(["run", str(write_config(tmp_path, MINIMAL.format(out=out) + extra))]) \
+        == code
+    assert capsys.readouterr().err == message
+    listed = [line.split(" ", 1)[1] for line in
+              (out / "manifest.txt").read_text().splitlines() if line.startswith("file ")]
+    assert sorted(listed) == sorted(os.listdir(out)) and len(listed) == 3
 
 
 @pytest.mark.parametrize("level, message", [
@@ -395,7 +444,7 @@ def test_cli_two_field_rule_makes_no_output_dir(tmp_path, capsys, kind, extra, m
 
 def test_cli_v2_with_underflowing_initial_state_makes_no_output_dir(tmp_path, capsys):
     # a nonzero amplitude whose state has a graph norm of 0 is refused after
-    # the state is built, still before the output directory is made
+    # the state is built, and the output directory made for it is removed
     out = tmp_path / "v2_out"
     body = MINIMAL.format(out=out) + ("analysis.dissipation = v2\n"
                                       "initial.amplitude = 1e-320\n")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from satiss import csvio
-from satiss.csvio import format_block, write_csv
+from satiss.csvio import format_block, text_value, write_csv
 
 
 def reference_csv(header, columns):
@@ -146,3 +146,12 @@ def test_pow10_table_is_built_once_from_exact_integers():
         assert hh + hl == hi
         exact = Fraction(10) ** p
         assert hi == float(exact) and lo == float(exact - Fraction(hi))
+
+
+@pytest.mark.parametrize("value, text", [
+    *((x, "%.17g" % x) for x in (-0.0, math.nan, -math.inf, 5e-324, 0.1, 1.0)),
+    (True, "true"), (False, "false"), (None, "none"), ([], ""),
+])
+def test_text_value(value, text):
+    # the spellings of text artifacts that no golden reaches
+    assert text_value(value) == text

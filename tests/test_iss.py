@@ -251,7 +251,7 @@ def test_iss_certificate_batch_matches_member_runs(monkeypatch):
     path = os.path.join(os.path.dirname(__file__), "..", "demos", "configs",
                         "certify.cfg")
     config = cli.parse_config(path)
-    config.entries["time.T"] = 0.5
+    config["time.T"] = 0.5
     grid = Grid(config["domain.L"], config["domain.n_interior"])
     A = build_kdv_operator(grid)
     loop = assemble_closed_loop(A, pointwise_linf_map(config["saturation.level"],
