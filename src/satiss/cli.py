@@ -282,8 +282,14 @@ def _write_manifest(outdir, files, config_pairs):
                 + "".join("file %s\n" % name for name in names))
 
 
-def _require_valid(cert):
-    if not cert.valid():
+def _judge(sigma=None, sweep=None, cert=None):
+    """Raise for a ``sweep`` that refutes ``sigma`` or an invalid ``cert``;
+    None stands for one that was not made."""
+    refuted = sweep.refuted(sigma) if sweep is not None else []
+    if refuted:
+        raise InfeasibleParameters("the axiom sweep of %s refutes %s"
+                                   % (sigma.kind.value, ", ".join(refuted)))
+    if cert is not None and not cert.valid():
         raise CertificationError("certificate max violation %g exceeds 1e-6"
                                  % cert.max_violation)
 
@@ -297,7 +303,7 @@ def run_experiment(config: dict, output_dir=None):
     CertificationError.  Deterministic for a fixed (config, rng_seed):
     identical bytes per run.
     """
-    refuted, cert = [], None
+    sweep, cert = None, None
     with _output_dir(output_dir or config["output_dir"]) as (outdir, files):
         grid, A, sys_loop = _closed_loop(config)
         sigma = sys_loop.sigma
@@ -305,8 +311,7 @@ def run_experiment(config: dict, output_dir=None):
         T, dt = config["time.T"], config["time.dt"]
         seed = config["rng_seed"]
 
-        C = lyap.measure_decay_constant(linear_loop_operator(A))
-        params = _dissipation_params(config, A, sigma, z0, C, grid, seed)
+        params = _dissipation_params(config, A, sigma, z0, grid, seed)
 
         with Trajectory.write_states_csv(_listed(outdir, files, "states.csv"), grid) \
                 if config["output.states"] else nullcontext() as sink:
@@ -317,12 +322,11 @@ def run_experiment(config: dict, output_dir=None):
         traj.write_observables_csv(_listed(outdir, files, "trajectory.csv"))
 
         if config["analysis.axioms"]:
-            report = check_axioms(sigma, grid, config["analysis.axioms_samples"],
-                                  config["analysis.axioms_amplitude"]
-                                  * config["saturation.level"], seed)
-            refuted = report.refuted(sigma)
+            sweep = check_axioms(sigma, grid, config["analysis.axioms_samples"],
+                                 config["analysis.axioms_amplitude"]
+                                 * config["saturation.level"], seed)
             _write_text(outdir, files, "axioms_%s.txt" % sigma.kind.value,
-                        report.as_kv_text())
+                        sweep.as_kv_text())
 
         which = config["analysis.dissipation"]
         if which != "off":
@@ -349,19 +353,16 @@ def run_experiment(config: dict, output_dir=None):
             _write_text(outdir, files, "certificate.txt", cert.as_kv_text())
 
         _write_manifest(outdir, files, sorted(config.items()))
-    if refuted:
-        raise InfeasibleParameters("the axiom sweep of %s refutes %s"
-                                   % (sigma.kind.value, ", ".join(refuted)))
-    if cert is not None:
-        _require_valid(cert)
+    _judge(sigma, sweep, cert)
     return outdir, files
 
 
-def _dissipation_params(config, A, sigma, z0, C, grid, seed):
+def _dissipation_params(config, A, sigma, z0, grid, seed):
     """Lyapunov constants of the V1 or V2 report; None for 'off' and 'v'."""
     which = config["analysis.dissipation"]
     if which in ("off", "v"):
         return None
+    C = lyap.measure_decay_constant(linear_loop_operator(A))
     if which == "v1":
         return lyap.case1_params(C, sigma, safety=config["analysis.safety"])
     c_s = lyap.estimate_embedding_constant(grid, n_samples=200, rng_seed=seed)
@@ -471,7 +472,8 @@ def _cmd_axioms(args):
     report = check_axioms(sigma, Grid(L, 127), args.samples, 3.0 * args.level, args.seed)
     sys.stdout.write(kv_text([("kind", kinds[0]), ("level", args.level)]))
     sys.stdout.write(report.as_kv_text())
-    return 3 if report.refuted(sigma) else 0
+    _judge(sigma, report)
+    return 0
 
 
 def _cmd_certify(args):
@@ -483,7 +485,7 @@ def _cmd_certify(args):
         _write_text(outdir, files, "certificate.txt", cert.as_kv_text())
         _write_manifest(outdir, files, sorted(config.items()))
     sys.stdout.write(cert.as_kv_text())
-    _require_valid(cert)
+    _judge(cert=cert)
     return 0
 
 

@@ -1,6 +1,7 @@
 """Trajectory-level input-to-state stability analysis.
 
-Four instruments:
+Four instruments; those that integrate run their members as one batch
+and read its (members, steps + 1) series whole, as array expressions:
 
 * ``gronwall_gap`` bounds the gap between a disturbed run and its
   undisturbed twin.  Two bounds are evaluated: the integral bound
@@ -28,7 +29,7 @@ import numpy as np
 
 from .csvio import kv_text, write_csv
 from .errors import CertificationError, ParameterError
-from .spaces import Grid, StateVector, norm_graph, norm_l2, random_smooth_values
+from .spaces import Grid, StateVector, norm_graph, random_smooth_values
 from .system import SaturatedSystem, Trajectory, simulate, zero_disturbance
 
 
@@ -82,11 +83,11 @@ def gronwall_gap(sys: SaturatedSystem, z0: StateVector, d, T: float, dt: float) 
         diff *= diff  # in place: no second (k, n) temporary
         sums.append(np.sum(diff, axis=1))
 
-    disturbed, _ = simulate([replace(sys, d=d), replace(sys, d=zero_disturbance())],
-                            [z0, z0], T, dt, on_rows=gap_sums)
+    pair = simulate([replace(sys, d=d), replace(sys, d=zero_disturbance())],
+                    [z0, z0], T, dt, on_rows=gap_sums)
     gap = np.sqrt(sys.A.grid.spacing_h * np.concatenate(sums))
-    dsq = disturbed.observables["norm_d"] ** 2
-    times = disturbed.times
+    dsq = pair.observables["norm_d"][0] ** 2
+    times = pair.times
     n = len(times)
     plain = np.zeros(n)
     convolved = np.zeros(n)
@@ -106,24 +107,21 @@ def gronwall_gap(sys: SaturatedSystem, z0: StateVector, d, T: float, dt: float) 
     )
 
 
-def _majorizing_exponential_fit(samples):
-    """Fit ||z(t)|| <= K e^{-mu t} ||z0|| over (times, norms, norm0) samples.
+def _majorizing_exponential_fit(times, norms, norm0):
+    """Fit ||z(t)|| <= K e^{-mu t} ||z0|| over the rows ``norms`` (m, k) of
+    members started at ``norm0`` (m,), recorded at ``times`` (k,).
 
     Log-domain least squares gives (K, mu); K is then lifted so the bound
     majorizes every sample at every recorded time.  Returns (K, mu, lift);
     (nan, nan, nan) when the pooled data does not decay.
     """
-    ts, ys = [], []
-    for times, norms, norm0 in samples:
-        if norm0 <= 0:
-            continue
-        mask = norms > 1e-300
-        ts.append(times[mask])
-        ys.append(np.log(norms[mask] / norm0))
-    if not ts:
+    started = norm0 > 0
+    if not started.any():
         return math.nan, math.nan, math.nan
-    t = np.concatenate(ts)
-    y = np.concatenate(ys)
+    norms, norm0 = norms[started], norm0[started]
+    mask = norms > 1e-300
+    t = np.broadcast_to(times, norms.shape)[mask]
+    y = np.log((norms / norm0[:, None])[mask])
     design = np.column_stack([t, np.ones_like(t)])
     (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
     mu = -float(slope)
@@ -174,20 +172,14 @@ def fit_semiglobal(sys: SaturatedSystem, r_values, samples_per_r: int,
             rng = np.random.default_rng((rng_seed, ir, j))
             frac = 1.0 if j == 0 else rng.uniform(0.4, 1.0)
             z0s.append(smooth_initial_data(grid, sys.A, r * frac, rng))
-    trajs = simulate([sys] * len(z0s), z0s, T, dt)
-    ks, mus, lifts = [], [], []
-    ensembles = {}
-    for ir, r in enumerate(r_values):
-        runs = [(traj.times, traj.observables["norm_l2"], traj.observables["norm_l2"][0])
-                for traj in trajs[ir * samples_per_r:(ir + 1) * samples_per_r]]
-        K, mu, lift = _majorizing_exponential_fit(runs)
-        ks.append(K)
-        mus.append(mu)
-        lifts.append(lift)
-        ensembles[float(r)] = runs
-    return SemiGlobalFit(r_values=np.array(r_values, dtype=float),
-                         K_of_r=np.array(ks), mu_of_r=np.array(mus),
-                         fit_residuals=np.array(lifts), ensembles=ensembles)
+    traj = simulate([sys] * len(z0s), z0s, T, dt)
+    per_r = traj.observables["norm_l2"].reshape(len(r_values), samples_per_r, -1)
+    K, mu, lift = np.array([_majorizing_exponential_fit(traj.times, rows, rows[:, 0])
+                            for rows in per_r]).T
+    return SemiGlobalFit(r_values=np.array(r_values, dtype=float), K_of_r=K, mu_of_r=mu,
+                         fit_residuals=lift, ensembles={
+                             float(r): [(traj.times, norms, norms[0]) for norms in rows]
+                             for r, rows in zip(r_values, per_r)})
 
 
 def globalize(fit: SemiGlobalFit, r: float):
@@ -233,10 +225,9 @@ class IssCertificate:
         return kv_text([*vars(self).items(), ("valid", self.valid())])
 
 
-def _disturbance_energy(traj: Trajectory) -> float:
-    """L2-in-time norm of the recorded disturbance over the horizon."""
-    dsq = traj.observables["norm_d"] ** 2
-    return math.sqrt(float(np.trapezoid(dsq, traj.times)))
+def _disturbance_energy(traj: Trajectory):
+    """L2-in-time norm of the recorded disturbance over the horizon, per member."""
+    return np.sqrt(np.trapezoid(traj.observables["norm_d"] ** 2, traj.times, axis=-1))
 
 
 def iss_certificate(sys: SaturatedSystem, z0_ensemble, d_ensemble,
@@ -253,42 +244,33 @@ def iss_certificate(sys: SaturatedSystem, z0_ensemble, d_ensemble,
     d_ensemble = list(d_ensemble)
     if not z0_ensemble or len(z0_ensemble) != len(d_ensemble):
         raise ParameterError("ensembles must be nonempty and of equal length")
-    trajs = simulate([replace(sys, d=d) for d in d_ensemble], z0_ensemble, T, dt)
-    runs = [(traj.times, traj.observables["norm_l2"], norm_l2(z0),
-             _disturbance_energy(traj)) for z0, traj in zip(z0_ensemble, trajs)]
-    free = [(t, n, n0) for t, n, n0, dnorm in runs if dnorm == 0.0 and n0 > 0]
-    fit_base = free if free else [(t, n, n0) for t, n, n0, _ in runs if n0 > 0]
-    if fit_base:
-        K, mu, _ = _majorizing_exponential_fit(fit_base)
-    else:
-        # every member starts at the origin; the envelope term is void
-        K, mu = 1.0, 1.0
+    traj = simulate([replace(sys, d=d) for d in d_ensemble], z0_ensemble, T, dt)
+    times, norms = traj.times, traj.observables["norm_l2"]
+    n0, dnorm = norms[:, 0], _disturbance_energy(traj)
+    free = (dnorm == 0.0) & (n0 > 0)
+    base = free if free.any() else slice(None)  # the fit leaves out n0 = 0
+    K, mu, _ = _majorizing_exponential_fit(times, norms[base], n0[base])
     if math.isnan(mu):
-        if free:
+        if free.any():
             raise CertificationError("undisturbed members do not decay; "
                                      "no exponential envelope exists")
-        # no undisturbed members and the pooled data does not decay on its
-        # own; keep a unit envelope and let the gain cover the rest
+        # no undisturbed members, and the others start at the origin or do
+        # not decay together; keep a unit envelope and let the gain cover the rest
         K, mu = 1.0, 1.0
-    rho = 0.0
-    worst_member = -1
-    for i, (times, norms, n0, dnorm) in enumerate(runs):
-        if dnorm == 0.0:
-            continue
-        excess = float(np.max(norms - K * np.exp(-mu * times) * n0))
-        if excess > 0 and excess / dnorm > rho:
-            rho = excess / dnorm
-            worst_member = i
+    envelope = K * np.exp(-mu * times) * n0[:, None]
+    excess = np.max(norms - envelope, axis=1)
+    # the gain each disturbed member needs; 0 for the others
+    gains = np.divide(excess, dnorm, out=np.zeros(len(n0)),
+                      where=(dnorm != 0.0) & (excess > 0))
+    worst_member = int(np.argmax(gains)) if gains.any() else -1
+    rho = float(gains.max())
     if rho_cap is not None and rho > rho_cap:
         raise CertificationError(
             "required gain %g exceeds the cap %g (worst member index %d)"
             % (rho, rho_cap, worst_member))
-    max_violation = -math.inf
-    for times, norms, n0, dnorm in runs:
-        bound = K * np.exp(-mu * times) * n0 + rho * dnorm
-        max_violation = max(max_violation, float(np.max(norms - bound)))
+    max_violation = float(np.max(norms - (envelope + rho * dnorm[:, None])))
     return IssCertificate(K=K, mu=mu, rho_gain=rho,
-                          ensemble_size=len(runs), max_violation=max_violation)
+                          ensemble_size=len(n0), max_violation=max_violation)
 
 
 def brs_check(traj: Trajectory, C0: float):

@@ -203,8 +203,8 @@ def dissipation_report(traj: Trajectory, which: str, alpha_coeff: float,
         raise ParameterError("dissipation report needs at least 3 recorded steps")
     if which not in ("V", "V1", "V2"):
         raise ParameterError("which must be one of 'V', 'V1', 'V2'")
-    V = traj.observables[which]
-    if np.isnan(V).any():
+    V = traj.observables.get(which)
+    if V is None:
         raise ParameterError("the %s series was not recorded: store the series "
                              "of trajectory_observers in the trajectory's "
                              "observables" % which)

@@ -323,7 +323,8 @@ class _ImexStepper:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time series of per-step norm and Lyapunov observables."""
+    """Per-step norm and Lyapunov observables at ``times`` (steps + 1,): each
+    series is (steps + 1,) for one run, (m, steps + 1) for m members."""
 
     grid: Grid
     times: np.ndarray
@@ -336,9 +337,11 @@ class Trajectory:
         return len(self.times)
 
     def write_observables_csv(self, path):
+        """One line per time of one run; a series not filled in reads nan."""
+        unset = np.full(len(self.times), math.nan)
         cols = self.OBSERVABLE_COLUMNS
         write_csv(path, ("t",) + cols,
-                  [self.times] + [self.observables[c] for c in cols])
+                  [self.times] + [self.observables.get(c, unset) for c in cols])
 
     @staticmethod
     def write_states_csv(path, grid):
@@ -356,14 +359,17 @@ _BLOCK_ROWS = 32
 def simulate(sys, z0, T: float, dt: float, on_rows=None):
     """Integrate the closed loop over [0, T] and record observables per step.
 
-    ``sys`` and ``z0`` are one system and one initial state, giving one
-    Trajectory, or equal-length lists of them, giving one Trajectory per
-    member; the listed systems must share ``A`` and ``sigma`` and may differ
-    in ``d``.  All members advance together as one block, in the buffers of
-    one ``_ImexStepper``, with d read from its cosine table: under 2 m
-    (steps + 1) doubles, as many as the recorded norms.  V is recorded as
-    ||z||^2; V1 and V2 are recorded as NaN, to be filled from the recorded
-    norms by the functions of ``lyapunov.trajectory_observers``.
+    ``sys`` and ``z0`` are one system and one initial state, or
+    equal-length lists of m of them; the listed systems must share ``A``
+    and ``sigma`` and may differ in ``d``.  Either way the result is one
+    Trajectory, whose series are (steps + 1,) for one system and
+    (m, steps + 1) for a list, row j that of member j, bit for bit the
+    series of its single-system run.  All members advance together as one
+    block, in the buffers of one ``_ImexStepper``, with d read from its
+    cosine table: under 2 m (steps + 1) doubles, as many as the recorded
+    norms.  V is recorded as ||z||^2; V1 and V2 are not recorded: the
+    functions of ``lyapunov.trajectory_observers`` compute them from the
+    recorded norms.
 
     No state history is kept.  The states go into one reused block of
     ``_BLOCK_ROWS`` rows per member; when it is full, and at the last
@@ -443,11 +449,6 @@ def simulate(sys, z0, T: float, dt: float, on_rows=None):
     np.sqrt(norm_u, out=norm_u)
     np.sqrt(norm_d, out=norm_d)
     obs = {"norm_l2": norm_l2, "norm_linf": linf, "norm_graph": norm_graph,
-           "V": nrm2, "V1": np.full((m, n_steps + 1), math.nan),
-           "V2": np.full((m, n_steps + 1), math.nan),
-           "norm_u": norm_u, "norm_d": norm_d}
-    trajectories = [
-        Trajectory(grid=grid, times=times,
-                   observables={c: obs[c][j] for c in Trajectory.OBSERVABLE_COLUMNS})
-        for j in range(m)]
-    return trajectories if batch else trajectories[0]
+           "V": nrm2, "norm_u": norm_u, "norm_d": norm_d}
+    return Trajectory(grid=grid, times=times, observables=obs if batch else
+                      {name: series[0] for name, series in obs.items()})

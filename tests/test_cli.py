@@ -335,6 +335,16 @@ def test_cli_run_fails_on_what_it_wrote(tmp_path, capsys, monkeypatch, judged):
     assert sorted(listed) == sorted(os.listdir(out)) and len(listed) == 3
 
 
+def test_cli_axioms_names_what_refuted_the_map(capsys, monkeypatch):
+    # the report on stdout, and on stderr the entry `satiss run` names
+    _, code, message = _refuting_map(monkeypatch)
+    assert main(["axioms", "pointwise", "1.0", "--samples", "50"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out.startswith("kind=pointwise_linf\nlevel=1\nbound_violations=0\n")
+    assert captured.out.endswith("\nsamples_used=50\n")
+
+
 @pytest.mark.parametrize("level, message", [
     ("1e308", "shift-bound constant C0 must be positive and finite"),
     ("1e300", "case-1 constant rho = inf is not finite"),
@@ -515,6 +525,14 @@ output_dir = {out}
     assert "alpha_no_C0=" in summary
 
 
+# sha256 of semiglobal.txt and trajectory.csv of the run below, as written
+# when the fit read one (times, norms, norm0) tuple per member
+_SEMIGLOBAL_DIGESTS = {
+    "semiglobal.txt": "8dab422150a18e655f809d429f931f9614ad8c556448a55ae612dd357ae3508e",
+    "trajectory.csv": "db35731c4432f86cb6d8e59229d9976d18eec7dc61e464139115699422ed142c",
+}
+
+
 def test_run_semiglobal_analysis(tmp_path):
     body = """
 domain.L = 6.283185307179586
@@ -530,6 +548,30 @@ output_dir = {out}
     text = (tmp_path / "semi" / "semiglobal.txt").read_text()
     assert text.count("r=") == 2
     assert "mu=" in text
+    assert {name: hashlib.sha256((tmp_path / "semi" / name).read_bytes()).hexdigest()
+            for name in ("semiglobal.txt", "trajectory.csv")} == _SEMIGLOBAL_DIGESTS
+
+
+# sha256 of what `satiss certify` writes for the shipped certify.cfg at
+# T = 0.5, as written when the certificate looped over per-member tuples
+_CERTIFY_DIGESTS = {
+    "certificate.txt": "3f332d7a7fb3c0c3c48dca064c01ba40a53ef7006bbc6fc831bc257abe8e1e03",
+    "manifest.txt": "b87f2fb66798d11653267a8c076832d1129af6cb236ca96961f3ee94e9a4ea2c",
+}
+
+
+def test_certify_artifacts_golden(tmp_path, capsys, monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "configs", "certify.cfg")
+    with open(path) as fh:
+        shipped = fh.read()
+    assert "\ntime.T = 9.0\n" in shipped
+    cfg = write_config(tmp_path, shipped.replace("\ntime.T = 9.0\n", "\ntime.T = 0.5\n"))
+    monkeypatch.setenv("SATISS_OUTPUT_ROOT", str(tmp_path))
+    assert main(["certify", str(cfg)]) == 0
+    out = tmp_path / "out_certify"
+    assert capsys.readouterr().out == (out / "certificate.txt").read_text()
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in os.listdir(out)} == _CERTIFY_DIGESTS
 
 
 @pytest.mark.parametrize("kind, level", [

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,21 +58,21 @@ def test_gap_report_csv(tmp_path, kdv127, z0_cosine):
 
 def test_majorizing_fit_majorizes():
     times = np.linspace(0.0, 5.0, 200)
-    samples = []
-    for n0, rate in ((2.0, 1.0), (1.0, 1.3), (0.5, 0.9)):
-        norms = n0 * np.exp(-rate * times) * (1.0 + 0.05 * np.sin(7 * times))
-        samples.append((times, norms, n0))
-    K, mu, lift = _majorizing_exponential_fit(samples)
+    norm0 = np.array([2.0, 1.0, 0.5])
+    rates = np.array([1.0, 1.3, 0.9])
+    rows = norm0[:, None] * np.exp(-rates[:, None] * times) * (1.0 + 0.05 * np.sin(7 * times))
+    K, mu, lift = _majorizing_exponential_fit(times, rows, norm0)
     assert K >= 1.0
     assert mu > 0.0
     assert lift >= 0.0
-    for times_s, norms, n0 in samples:
-        assert np.all(norms <= K * np.exp(-mu * times_s) * n0 * (1.0 + 1e-9))
+    for norms, n0 in zip(rows, norm0):
+        assert np.all(norms <= K * np.exp(-mu * times) * n0 * (1.0 + 1e-9))
 
 
 def test_majorizing_fit_flags_growth():
     times = np.linspace(0.0, 5.0, 100)
-    K, mu, lift = _majorizing_exponential_fit([(times, np.exp(0.5 * times), 1.0)])
+    K, mu, lift = _majorizing_exponential_fit(times, np.exp(0.5 * times)[None],
+                                              np.array([1.0]))
     assert math.isnan(mu)
 
 
@@ -206,6 +207,31 @@ def test_certificate_gain_cap(kdv127, grid127):
                         2.0, 1e-3, rho_cap=1e-9)
 
 
+def test_certificate_gain_cap_names_the_worst_member(kdv127, grid127):
+    # the envelope of the undisturbed member and the gain of each disturbed
+    # one, worked out from single-member runs: the middle member needs the
+    # larger gain, and a cap at the smaller one fails on it
+    loop = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L))
+    z0s = [smooth_initial_data(grid127, kdv127, r, np.random.default_rng(i))
+           for i, r in enumerate((0.3, 2.0, 0.5))]
+    ds = [cosine_disturbance(0.05, 0.7), cosine_disturbance(0.1, 1.9), zero_disturbance()]
+    T, dt = 2.0, 1e-3
+    runs = [simulate(replace(loop, d=d), z0, T, dt) for d, z0 in zip(ds, z0s)]
+    times, free = runs[2].times, runs[2].observables["norm_l2"]
+    K, mu, _ = _majorizing_exponential_fit(times, free[None], free[:1])
+    gains = []
+    for run in runs[:2]:
+        norms = run.observables["norm_l2"]
+        energy = math.sqrt(np.trapezoid(run.observables["norm_d"] ** 2, times))
+        gains.append(np.max(norms - K * np.exp(-mu * times) * norms[0]) / energy)
+    worst = int(np.argmax(gains))
+    assert 0 < min(gains) < 0.9 * max(gains)
+    with pytest.raises(CertificationError,
+                       match=r"\(worst member index %d\)$" % worst) as info:
+        iss_certificate(loop, z0s, ds, T, dt, rho_cap=min(gains))
+    assert float(str(info.value).split()[2]) == pytest.approx(max(gains), rel=1e-5)
+
+
 def test_certificate_rejects_bad_ensembles(kdv127, grid127):
     sys_sat = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
                                    zero_disturbance())
@@ -259,7 +285,9 @@ def test_iss_certificate_batch_matches_member_runs(monkeypatch):
     batched = cli._run_certificate(config, loop, grid, A, 0.5, config["time.dt"])
 
     def one_by_one(systems, z0s, T, dt, **kwargs):
-        return [system.simulate(s, z, T, dt, **kwargs) for s, z in zip(systems, z0s)]
+        runs = [system.simulate(s, z, T, dt, **kwargs) for s, z in zip(systems, z0s)]
+        return system.Trajectory(runs[0].grid, runs[0].times, {
+            c: np.array([run.observables[c] for run in runs]) for c in runs[0].observables})
 
     monkeypatch.setattr(iss, "simulate", one_by_one)
     single = cli._run_certificate(config, loop, grid, A, 0.5, config["time.dt"])

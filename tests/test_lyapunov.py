@@ -144,8 +144,6 @@ def synthetic_trajectory(grid, times, states, norm_d):
         "norm_linf": np.max(np.abs(states), axis=1),
         "norm_graph": norms,
         "V": norms**2,
-        "V1": np.full(len(times), np.nan),
-        "V2": np.full(len(times), np.nan),
         "norm_u": np.zeros(len(times)),
         "norm_d": norm_d,
     }

@@ -302,10 +302,10 @@ def test_disturbance_kinds(grid127, kdv127, z0_cosine):
     assert np.all(vals[:, 1] == 0.05 * math.cos(2.0 * t))
     # the recorded ||d(t)||: ||const||_L2 = |const| * sqrt(h n)
     runs = simulate(systems, [z0_cosine, z0_cosine], 0.01, 1e-3)
-    assert np.all(runs[0].observables["norm_d"] == 0.0)
-    expected = np.abs(0.05 * np.cos(2.0 * runs[1].times)) * math.sqrt(
+    assert np.all(runs.observables["norm_d"][0] == 0.0)
+    expected = np.abs(0.05 * np.cos(2.0 * runs.times)) * math.sqrt(
         grid127.spacing_h * grid127.n_interior)
-    np.testing.assert_allclose(runs[1].observables["norm_d"], expected, rtol=1e-12)
+    np.testing.assert_allclose(runs.observables["norm_d"][1], expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 2, 20])
@@ -327,7 +327,7 @@ def test_cosine_table_is_the_per_step_cosine(m, T):
     systems = [assemble_closed_loop(A, None, DisturbanceSignal(a, f))
                for a, f in zip(amplitude, frequency)]
     zero = StateVector(A.grid, np.zeros(7))
-    times = simulate(systems, [zero] * m, T, dt)[0].times
+    times = simulate(systems, [zero] * m, T, dt).times
     n_steps = len(times) - 1
     last_dt = T - (n_steps - 1) * dt
     if abs(last_dt - dt) <= 1e-12 * dt:
@@ -477,11 +477,10 @@ def test_linear_loop_exponential_decay(kdv127, z0_cosine):
 def test_simulate_default_series(kdv127, z0_cosine):
     sys_lin = assemble_closed_loop(kdv127, None, zero_disturbance())
     traj = simulate(sys_lin, z0_cosine, 0.01, 1e-3)
-    # V = ||z||^2; V1 and V2 are NaN until filled in from the recorded norms
+    # V = ||z||^2; V1 and V2 are left to the caller, and read nan in the CSV
     np.testing.assert_allclose(traj.observables["V"],
                                traj.observables["norm_l2"] ** 2, rtol=1e-12)
-    assert np.all(np.isnan(traj.observables["V1"]))
-    assert np.all(np.isnan(traj.observables["V2"]))
+    assert set(traj.observables) == set(Trajectory.OBSERVABLE_COLUMNS) - {"V1", "V2"}
 
 
 def test_trajectory_csv_export(tmp_path, kdv127, grid127, z0_cosine):
@@ -493,6 +492,7 @@ def test_trajectory_csv_export(tmp_path, kdv127, grid127, z0_cosine):
     lines = obs_path.read_text().splitlines()
     assert lines[0] == "t,norm_l2,norm_linf,norm_graph,V,V1,V2,norm_u,norm_d"
     assert len(lines) == len(traj) + 1
+    assert {tuple(line.split(",")[5:7]) for line in lines[1:]} == {("nan", "nan")}
 
     states_path = tmp_path / "states.csv"
     with Trajectory.write_states_csv(states_path, grid127) as sink:
@@ -510,7 +510,8 @@ def test_trajectory_csv_export(tmp_path, kdv127, grid127, z0_cosine):
 @pytest.mark.parametrize("sigma", [pointwise_linf_map(1.0, L), hilbert_norm_map(1.0)],
                          ids=["pointwise", "hilbert"])
 def test_batched_simulate_matches_member_runs(kdv127, grid127, z0_cosine, sigma):
-    # the block differs from single runs only in how the dense product sums
+    # the block differs from single runs only in how the dense product sums,
+    # and a batch of one is the single run bit for bit
     disturbances = [zero_disturbance(), cosine_disturbance(0.1, 1.9),
                     cosine_disturbance(-0.2, 37.0)]
     systems = [assemble_closed_loop(kdv127, sigma, d) for d in disturbances]
@@ -518,19 +519,24 @@ def test_batched_simulate_matches_member_runs(kdv127, grid127, z0_cosine, sigma)
     T, dt = 0.0505, 1e-3  # partial last step
     batch, batch_states = simulate_states(systems, z0s, T, dt)
     lean = simulate(systems, z0s, T, dt)
-    assert len(batch) == len(lean) == 3
-    assert batch_states.shape == (3, len(batch[0]), 127)
-    for j, (member, lean_member, sys_j, z0) in enumerate(zip(batch, lean, systems, z0s)):
+    assert set(batch.observables) == set(lean.observables)
+    for c, series in batch.observables.items():
+        assert series.shape == lean.observables[c].shape == (3, len(batch))
+    assert batch_states.shape == (3, len(batch), 127)
+    for j, (sys_j, z0) in enumerate(zip(systems, z0s)):
         alone, states = simulate_states(sys_j, z0, T, dt)
-        np.testing.assert_array_equal(member.times, alone.times)
+        one = simulate([sys_j], [z0], T, dt)
+        np.testing.assert_array_equal(batch.times, alone.times)
         scale = np.max(np.abs(states))
         assert np.max(np.abs(batch_states[j] - states)) <= 1e-12 * scale
-        for c in Trajectory.OBSERVABLE_COLUMNS:
-            np.testing.assert_allclose(member.observables[c], alone.observables[c],
+        assert set(alone.observables) == set(batch.observables)
+        for c in alone.observables:
+            np.testing.assert_allclose(batch.observables[c][j], alone.observables[c],
                                        rtol=1e-12, atol=0.0)
-            np.testing.assert_array_equal(lean_member.observables[c],
-                                          member.observables[c])
-        assert not hasattr(lean_member, "states")
+            np.testing.assert_array_equal(lean.observables[c][j],
+                                          batch.observables[c][j])
+            assert one.observables[c][0].tobytes() == alone.observables[c].tobytes()
+    assert not hasattr(lean, "states")
 
 
 def test_batched_simulate_rejects_mixed_members(kdv127, z0_cosine):
@@ -603,7 +609,6 @@ def test_simulate_hands_out_the_recorded_states_in_blocks(kdv127, z0_cosine, T):
             seen.append((times.copy(), rows.copy()))
         traj = simulate([sys_sat] if batch else sys_sat,
                         [z0_cosine] if batch else z0_cosine, T, 1e-3, on_rows=sink)
-    traj = traj[0]
     sizes = [len(times) for times, _ in calls[False]]
     assert sizes[:-1] == [_BLOCK_ROWS] * (len(sizes) - 1) and 0 < sizes[-1] <= _BLOCK_ROWS
     np.testing.assert_array_equal(np.concatenate([t for t, _ in calls[False]]), traj.times)
@@ -613,9 +618,9 @@ def test_simulate_hands_out_the_recorded_states_in_blocks(kdv127, z0_cosine, T):
         assert batch_rows.tobytes() == rows.tobytes()
     states = np.concatenate([rows for _, rows in calls[False]])
     np.testing.assert_array_equal(np.max(np.abs(states), axis=1),
-                                  traj.observables["norm_linf"])
+                                  traj.observables["norm_linf"][0])
     np.testing.assert_allclose(np.sqrt(kdv127.grid.spacing_h * np.sum(states ** 2, axis=1)),
-                               traj.observables["norm_l2"], rtol=1e-13)
+                               traj.observables["norm_l2"][0], rtol=1e-13)
 
 
 # sha256 of the artifacts of four runs at n = 127, T = 0.5, as written when
