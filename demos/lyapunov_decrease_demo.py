@@ -28,7 +28,7 @@ print("measured C = %.4f" % C)
 
 # regime 1: Hilbert-ball saturation, cosine disturbance
 sigma = hilbert_norm_map(1.0)
-params = case1_params(C, sigma, safety=0.5)
+params = case1_params(C, sigma)
 print("regime 1: M=%g eps1=%.4f eps2=%.4f -> alpha=%.4f rho=%.1f"
       % (params.M, params.eps1, params.eps2, params.alpha, params.rho))
 

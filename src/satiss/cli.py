@@ -99,10 +99,7 @@ _SCHEMA = {
     "saturation.level": (float, 1.0, _POSITIVE),
     "analysis.axioms": (_parse_bool, False, None),
     "analysis.axioms_samples": (int, 10000, _at_least(1, "must be >= 1")),
-    "analysis.axioms_amplitude": (float, 3.0, _POSITIVE),
     "analysis.dissipation": (str, "off", _one_of("off", "v", "v1", "v2")),
-    "analysis.safety": (float, 0.5, ((lambda v: not (v <= 0 or v >= 1)),
-                                     "must lie in (0, 1)")),
     "analysis.gap": (_parse_bool, False, None),
     "analysis.semiglobal_r": (_parse_float_list, [], None),
     "analysis.semiglobal_samples": (int, 5, _at_least(1, "must be >= 1")),
@@ -116,6 +113,10 @@ _SCHEMA = {
     "output_dir": (str, "out", None),
 }
 
+
+#: the axiom sweeps of ``run`` and ``axioms`` draw samples of norm up to
+#: this multiple of the saturation level
+AXIOMS_AMPLITUDE = 3.0
 
 #: saturation.kind -> factory (level, L) of the map; ``satiss axioms`` also
 #: takes a kind by its first word
@@ -190,9 +191,9 @@ def _validate(e: dict) -> dict:
     if e["analysis.axioms"]:
         try:
             _check_sweep(e["domain.n_interior"], e["analysis.axioms_samples"],
-                         e["analysis.axioms_amplitude"] * e["saturation.level"])
+                         AXIOMS_AMPLITUDE * e["saturation.level"])
         except ParameterError as exc:
-            raise ConfigError("field 'analysis.axioms_amplitude': %s" % exc)
+            raise ConfigError("field 'saturation.level': %s" % exc)
     return e
 
 
@@ -290,8 +291,8 @@ def _judge(sigma=None, sweep=None, cert=None):
         raise InfeasibleParameters("the axiom sweep of %s refutes %s"
                                    % (sigma.kind.value, ", ".join(refuted)))
     if cert is not None and not cert.valid():
-        raise CertificationError("certificate max violation %g exceeds 1e-6"
-                                 % cert.max_violation)
+        raise CertificationError("certificate max violation %g exceeds %g"
+                                 % (cert.max_violation, iss_mod.CERTIFICATE_TOLERANCE))
 
 
 def run_experiment(config: dict, output_dir=None):
@@ -311,7 +312,7 @@ def run_experiment(config: dict, output_dir=None):
         T, dt = config["time.T"], config["time.dt"]
         seed = config["rng_seed"]
 
-        params = _dissipation_params(config, A, sigma, z0, grid, seed)
+        params, coeffs = _dissipation_params(config, A, sigma, z0, grid, seed)
 
         with Trajectory.write_states_csv(_listed(outdir, files, "states.csv"), grid) \
                 if config["output.states"] else nullcontext() as sink:
@@ -323,16 +324,19 @@ def run_experiment(config: dict, output_dir=None):
 
         if config["analysis.axioms"]:
             sweep = check_axioms(sigma, grid, config["analysis.axioms_samples"],
-                                 config["analysis.axioms_amplitude"]
-                                 * config["saturation.level"], seed)
+                                 AXIOMS_AMPLITUDE * config["saturation.level"], seed)
             _write_text(outdir, files, "axioms_%s.txt" % sigma.kind.value,
                         sweep.as_kv_text())
 
-        which = config["analysis.dissipation"]
-        if which != "off":
-            report, summary = _dissipation_report(traj, params, which)
+        if coeffs:
+            which = config["analysis.dissipation"]
+            report = lyap.dissipation_report(traj, which.upper(), coeffs["alpha"],
+                                             coeffs["rho"])
             report.write_csv(_listed(outdir, files, "dissipation_%s.csv" % which))
-            _write_text(outdir, files, "dissipation_%s_summary.txt" % which, summary)
+            _write_text(outdir, files, "dissipation_%s_summary.txt" % which, kv_text([
+                ("which", which.upper()), *coeffs.items(),
+                ("violation_count", report.violation_count),
+                ("worst_margin", report.worst_margin)]))
 
         if config["analysis.gap"]:
             gap = iss_mod.gronwall_gap(sys_loop, z0, sys_loop.d, T, dt)
@@ -343,10 +347,10 @@ def run_experiment(config: dict, output_dir=None):
             fit = iss_mod.fit_semiglobal(replace(sys_loop, d=zero_disturbance()),
                                          r_list, config["analysis.semiglobal_samples"],
                                          T, dt, seed)
-            _write_text(outdir, files, "semiglobal.txt", "".join(
-                "r=%.17g K=%.17g mu=%.17g lift=%.17g\n"
-                % (r, fit.K_of_r[i], fit.mu_of_r[i], fit.fit_residuals[i])
-                for i, r in enumerate(fit.r_values)))
+            _write_text(outdir, files, "semiglobal.txt", kv_text(
+                pair for row in zip(fit.r_values, fit.K_of_r, fit.mu_of_r,
+                                    fit.fit_residuals)
+                for pair in zip(("r", "K", "mu", "lift"), row)))
 
         if config["analysis.certificate"]:
             cert = _run_certificate(config, sys_loop, grid, A, T, dt)
@@ -358,39 +362,25 @@ def run_experiment(config: dict, output_dir=None):
 
 
 def _dissipation_params(config, A, sigma, z0, grid, seed):
-    """Lyapunov constants of the V1 or V2 report; None for 'off' and 'v'."""
+    """(params, coeffs) of the configured report: the Lyapunov constants of
+    V1 or V2 (None for V) and the summary's coefficients by name, alpha and
+    rho among them; (None, None) for 'off'."""
     which = config["analysis.dissipation"]
-    if which in ("off", "v"):
-        return None
+    if which == "off":
+        return None, None
+    if which == "v":
+        return None, {"alpha": 1.0, "rho": 0.0}
     C = lyap.measure_decay_constant(linear_loop_operator(A))
     if which == "v1":
-        return lyap.case1_params(C, sigma, safety=config["analysis.safety"])
+        params = lyap.case1_params(C, sigma)
+        return params, {"alpha": params.alpha, "rho": params.rho}
     c_s = lyap.estimate_embedding_constant(grid, n_samples=200, rng_seed=seed)
     r = norm_graph(z0, A)
     if r == 0.0:
         raise ConfigError("analysis.dissipation = v2 needs a nonzero initial state")
-    return lyap.case2_params(C, c_s, r)
-
-
-def _dissipation_report(traj, params, which):
-    """The report of V, V1 or V2 and its summary text."""
-    if which == "v":
-        coeffs = [("alpha", 1.0), ("rho", 0.0)]
-    elif which == "v1":
-        coeffs = [("alpha", params.alpha), ("alpha_no_C0", params.alpha_no_C0),
-                  ("rho", params.rho)]
-    else:
-        coeffs = [("alpha", params.C), ("rho", 0.0), ("mu", params.mu),
-                  ("M_tilde", params.M_tilde), ("r", params.r)]
-    name, alpha, rho = which.upper(), coeffs[0][1], dict(coeffs)["rho"]
-    report = lyap.dissipation_report(traj, name, alpha, rho)
-    pairs = [("which", name), *coeffs, ("violation_count", report.violation_count),
-             ("worst_margin", report.worst_margin)]
-    if which == "v1":
-        alt = lyap.dissipation_report(traj, name, params.alpha_no_C0, rho)
-        pairs += [("violation_count_no_C0", alt.violation_count),
-                  ("worst_margin_no_C0", alt.worst_margin)]
-    return report, kv_text(pairs)
+    params = lyap.case2_params(C, c_s, r)
+    return params, {"alpha": params.C, "rho": 0.0, "mu": params.mu,
+                    "M_tilde": params.M_tilde, "r": params.r}
 
 
 def _run_certificate(config, sys_loop, grid, A, T, dt):
@@ -469,7 +459,8 @@ def _cmd_axioms(args):
         raise ConfigError("--seed must be non-negative")
     L = 2.0 * math.pi
     sigma = _SATURATION_MAPS[kinds[0]](args.level, L)
-    report = check_axioms(sigma, Grid(L, 127), args.samples, 3.0 * args.level, args.seed)
+    report = check_axioms(sigma, Grid(L, 127), args.samples, AXIOMS_AMPLITUDE * args.level,
+                          args.seed)
     sys.stdout.write(kv_text([("kind", kinds[0]), ("level", args.level)]))
     sys.stdout.write(report.as_kv_text())
     _judge(sigma, report)

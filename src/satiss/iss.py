@@ -142,11 +142,12 @@ class SemiGlobalFit:
     ensembles: dict            # r -> list of (times, norms, norm0)
 
     def at(self, r: float):
+        """(r_i, K, mu) of the fitted radius r_i that ``np.isclose`` matches to r."""
         idx = np.nonzero(np.isclose(self.r_values, r))[0]
         if len(idx) == 0:
             raise ParameterError("no fit data at radius r = %g" % r)
         i = int(idx[0])
-        return float(self.K_of_r[i]), float(self.mu_of_r[i])
+        return float(self.r_values[i]), float(self.K_of_r[i]), float(self.mu_of_r[i])
 
 
 def fit_semiglobal(sys: SaturatedSystem, r_values, samples_per_r: int,
@@ -183,20 +184,21 @@ def fit_semiglobal(sys: SaturatedSystem, r_values, samples_per_r: int,
 
 
 def globalize(fit: SemiGlobalFit, r: float):
-    """Compose the radius-r envelope with the unit-radius one.
+    """Compose the radius-r envelope with the unit-radius one; r and 1 name
+    the fitted radii that ``SemiGlobalFit.at`` matches to them.
 
     Returns (T_r, K_global, mu_global) with T_r = ln(r K_r) / mu_r (clamped
     to 0 when r K_r <= 1) and K_global = K_1 e^{mu_1 T_r}, mu_global = mu_1.
     The hand-off is verified on the stored radius-r ensemble:
     ||z(T_r)|| <= 1 within 1e-3 relative.
     """
-    K_r, mu_r = fit.at(r)
-    K_1, mu_1 = fit.at(1.0)
+    r, K_r, mu_r = fit.at(r)
+    _, K_1, mu_1 = fit.at(1.0)
     if any(map(math.isnan, (K_r, mu_r, K_1, mu_1))):
         raise CertificationError("globalization needs decaying fits at r and at 1")
     T_r = math.log(r * K_r) / mu_r if r * K_r > 1.0 else 0.0
     K_global = K_1 * math.exp(mu_1 * T_r)
-    for times, norms, _ in fit.ensembles[float(r)]:
+    for times, norms, _ in fit.ensembles[r]:
         if T_r > times[-1]:
             raise CertificationError(
                 "hand-off time T_r = %g exceeds the recorded horizon %g"
@@ -206,6 +208,10 @@ def globalize(fit: SemiGlobalFit, r: float):
             raise CertificationError(
                 "trajectory norm %g at the hand-off time exceeds 1" % norms[idx])
     return T_r, K_global, mu_1
+
+
+#: largest ``max_violation`` of a valid certificate
+CERTIFICATE_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,8 +224,8 @@ class IssCertificate:
     ensemble_size: int
     max_violation: float
 
-    def valid(self, tolerance: float = 1e-6) -> bool:
-        return self.max_violation <= tolerance
+    def valid(self) -> bool:
+        return self.max_violation <= CERTIFICATE_TOLERANCE
 
     def as_kv_text(self) -> str:
         return kv_text([*vars(self).items(), ("valid", self.valid())])

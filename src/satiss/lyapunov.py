@@ -59,13 +59,6 @@ class LyapunovParams:
         return self.C - 2.0 * self.M * self.C0 / self.eps2 - 1.0 / self.eps1
 
     @property
-    def alpha_no_C0(self) -> float:
-        """``alpha`` without the C0 factor in the eps2 term.  Reported next to
-        ``alpha``; only the conservative one (the smaller coefficient for
-        C0 >= 1) is ever asserted."""
-        return self.C - 2.0 * self.M / self.eps2 - 1.0 / self.eps1
-
-    @property
     def rho(self) -> float:
         """Case-1 disturbance gain C0 * 2 M * eps2 + k^2 * eps1 paired with
         ``alpha``."""
@@ -108,28 +101,30 @@ def estimate_embedding_constant(grid: Grid, n_samples: int = 400,
     return best
 
 
-def case1_params(C: float, sigma, safety: float = 0.5) -> LyapunovParams:
+#: share of C that the case-1 constraint terms spend; the rest is alpha
+CASE1_SHARE = 0.5
+
+
+def case1_params(C: float, sigma) -> LyapunovParams:
     """Case-1 constants from the measured C and a saturation map's C0 and k.
 
     M is the minimal admissible value 2 ||B*|| ||P|| = 2; eps1 and eps2
     split the decrease budget evenly so that
 
-        2 M C0 / eps2 + ||B*||^2 ||P||^2 / eps1 = safety * C,
+        2 M C0 / eps2 + ||B*||^2 ||P||^2 / eps1 = CASE1_SHARE * C,
 
-    leaving a decrease coefficient ``alpha`` of (1 - safety) * C.  Raises
-    ``InfeasibleParameters`` when C is not positive, and ``ParameterError``
-    for a safety outside (0, 1) or naming the first of M, eps1, eps2, alpha
-    and rho that is not a finite double: a huge saturation level can
-    overflow them, and a report built on them would certify nothing.
+    leaving a decrease coefficient ``alpha`` of (1 - CASE1_SHARE) * C.
+    Raises ``InfeasibleParameters`` when C is not positive, and
+    ``ParameterError`` naming the first of M, eps1, eps2, alpha and rho that
+    is not a finite double: a huge saturation level can overflow them, and
+    a report built on them would certify nothing.
     """
     if not C > 0:
         raise InfeasibleParameters("measured decrease constant C = %g is not positive" % C)
-    if not 0.0 < safety < 1.0:
-        raise ParameterError("safety must lie in (0, 1)")
     C0, k = sigma.item5_C0, sigma.lipschitz_k
     M = 2.0
-    params = LyapunovParams(C=C, k=k, C0=C0, M=M, eps1=2.0 / (safety * C),
-                            eps2=4.0 * M * C0 / (safety * C))
+    params = LyapunovParams(C=C, k=k, C0=C0, M=M, eps1=2.0 / (CASE1_SHARE * C),
+                            eps2=4.0 * M * C0 / (CASE1_SHARE * C))
     for name in ("M", "eps1", "eps2", "alpha", "rho"):
         value = getattr(params, name)
         if not math.isfinite(value):

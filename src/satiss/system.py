@@ -363,11 +363,13 @@ def simulate(sys, z0, T: float, dt: float, on_rows=None):
     equal-length lists of m of them; the listed systems must share ``A``
     and ``sigma`` and may differ in ``d``.  Either way the result is one
     Trajectory, whose series are (steps + 1,) for one system and
-    (m, steps + 1) for a list, row j that of member j, bit for bit the
-    series of its single-system run.  All members advance together as one
-    block, in the buffers of one ``_ImexStepper``, with d read from its
-    cosine table: under 2 m (steps + 1) doubles, as many as the recorded
-    norms.  V is recorded as ||z||^2; V1 and V2 are not recorded: the
+    (m, steps + 1) for a list, row j that of member j.  A list of one gives
+    the single-system series bit for bit; a member of a larger batch drifts
+    from its single run with the summation order of the dense product, by
+    up to 7.5e-13 relative at n=127 and 7.9e-11 at n=2047.  All members
+    advance together as one block, in the buffers of one ``_ImexStepper``,
+    with d read from its cosine table: under 2 m (steps + 1) doubles, as
+    many as the recorded norms.  V is recorded as ||z||^2; V1 and V2 are not recorded: the
     functions of ``lyapunov.trajectory_observers`` compute them from the
     recorded norms.
 

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -38,6 +39,20 @@ def test_parse_missing_required_field_names_it():
 def test_parse_unknown_field_names_line():
     with pytest.raises(ConfigError, match="line 2.*bogus"):
         parse_config_text("domain.L = 1.0\nbogus = 3\n")
+
+
+def test_readme_names_every_config_key_and_no_other():
+    # a dotted word whose head is a config section is a key to the reader
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(path) as fh:
+        readme = fh.read()
+    keys = set(cli._SCHEMA)
+    sections = sorted({key.split(".")[0] for key in keys if "." in key})
+    named = set(re.findall(r"\b(?:%s)\.(?!(?:txt|csv|cfg)\b)[A-Za-z_]\w*"
+                           % "|".join(sections), readme))
+    named |= {key for key in keys if "." not in key and re.search(r"\b%s\b" % key, readme)}
+    assert sorted(keys - named) == []
+    assert sorted(named - keys) == []
 
 
 def test_parse_bad_value_reports_field():
@@ -318,7 +333,7 @@ def _invalid_certificate(monkeypatch):
     monkeypatch.setattr(cli.iss_mod, "iss_certificate",
                         lambda *args, **kwargs: IssCertificate(1.0, 1.0, 0.0, 1, 0.5))
     return "analysis.certificate = true\n", 4, \
-        "certification failure: certificate max violation 0.5 exceeds 1e-6\n"
+        "certification failure: certificate max violation 0.5 exceeds 1e-06\n"
 
 
 @pytest.mark.parametrize("judged", [_refuting_map, _invalid_certificate],
@@ -403,16 +418,17 @@ def test_cli_unusable_input_is_config_error(tmp_path, capsys, horizon, extra, me
      "field 'analysis.semiglobal_samples' must be >= 1"),
     ("analysis.axioms = true\nanalysis.axioms_samples = 0\n",
      "field 'analysis.axioms_samples' must be >= 1"),
-    ("analysis.axioms = true\nanalysis.axioms_amplitude = 0\n",
-     "field 'analysis.axioms_amplitude' must be positive"),
-    ("analysis.safety = 1\n", "field 'analysis.safety' must lie in (0, 1)"),
     ("initial.family = smooth_random\ninitial.graph_norm = 0\n",
      "field 'initial.graph_norm' must be positive"),
+    ("analysis.safety = 0.5\n", "line 8: unknown field 'analysis.safety'"),
+    ("analysis.axioms_amplitude = 3.0\n",
+     "line 8: unknown field 'analysis.axioms_amplitude'"),
 ], ids=["no_certificate_members", "no_semiglobal_samples", "no_axiom_samples",
-        "zero_axiom_amplitude", "unit_safety", "zero_graph_norm"])
+        "zero_graph_norm", "deleted_safety", "deleted_axioms_amplitude"])
 def test_cli_out_of_range_field_writes_nothing(tmp_path, capsys, extra, message):
-    # each value is refused by its schema row, before the output directory
-    # is made: no trajectory.csv without its manifest
+    # each value is refused by its schema row, and a key without a row (the
+    # settings that only ever took one value have none), before the output
+    # directory is made: no trajectory.csv without its manifest
     out = tmp_path / "range_out"
     body = MINIMAL.format(out=out) + extra
     assert main(["run", str(write_config(tmp_path, body))]) == 2
@@ -423,8 +439,8 @@ def test_cli_out_of_range_field_writes_nothing(tmp_path, capsys, extra, message)
 @pytest.mark.parametrize("kind, extra, message", [
     ("none", "analysis.axioms = true\n",
      "field 'analysis.axioms' needs a saturation map (field 'saturation.kind' is 'none')"),
-    ("pointwise_linf", "analysis.axioms = true\nanalysis.axioms_amplitude = 1e300\n",
-     "field 'analysis.axioms_amplitude': sample amplitude 1e+300 overflows the sums "
+    ("pointwise_linf", "analysis.axioms = true\nsaturation.level = 1e300\n",
+     "field 'saturation.level': sample amplitude 3e+300 overflows the sums "
      "of the sweep on 31 nodes"),
     ("none", "analysis.dissipation = v1\n",
      "field 'analysis.dissipation' needs a saturation map "
@@ -522,13 +538,13 @@ output_dir = {out}
     assert set(files) == expected
     summary = (tmp_path / "full" / "dissipation_v1_summary.txt").read_text()
     assert "violation_count=0" in summary
-    assert "alpha_no_C0=" in summary
 
 
 # sha256 of semiglobal.txt and trajectory.csv of the run below, as written
-# when the fit read one (times, norms, norm0) tuple per member
+# when the fit read one (times, norms, norm0) tuple per member; semiglobal.txt
+# holds the same four values per radius, one key=value per line
 _SEMIGLOBAL_DIGESTS = {
-    "semiglobal.txt": "8dab422150a18e655f809d429f931f9614ad8c556448a55ae612dd357ae3508e",
+    "semiglobal.txt": "2007ade5a504bf93f7df5cbeec15c5f7591fa4a813bc5aab8619d7004eac5fe5",
     "trajectory.csv": "db35731c4432f86cb6d8e59229d9976d18eec7dc61e464139115699422ed142c",
 }
 
@@ -553,10 +569,11 @@ output_dir = {out}
 
 
 # sha256 of what `satiss certify` writes for the shipped certify.cfg at
-# T = 0.5, as written when the certificate looped over per-member tuples
+# T = 0.5, as written when the certificate looped over per-member tuples;
+# the manifest echoes the 25 keys of the schema
 _CERTIFY_DIGESTS = {
     "certificate.txt": "3f332d7a7fb3c0c3c48dca064c01ba40a53ef7006bbc6fc831bc257abe8e1e03",
-    "manifest.txt": "b87f2fb66798d11653267a8c076832d1129af6cb236ca96961f3ee94e9a4ea2c",
+    "manifest.txt": "420e477cb81ffb9b48b88446199b08a8c1306ec30f11b2342041def5e099e28e",
 }
 
 
@@ -590,10 +607,8 @@ def test_cli_axioms_overflowing_level_is_config_error(capsys, kind, level):
 _DISSIPATION_SUMMARIES = {
     "v": {"which": "V", "alpha": 1.0, "rho": 0.0, "violation_count": 501,
           "worst_margin": -2.976887627462208},
-    "v1": {"which": "V1", "alpha": 1.012658062432076,
-           "alpha_no_C0": 1.3502107499094351, "rho": 302.17504935978809,
-           "violation_count": 0, "worst_margin": 29.367936998710146,
-           "violation_count_no_C0": 0, "worst_margin_no_C0": 27.177897931566729},
+    "v1": {"which": "V1", "alpha": 1.012658062432076, "rho": 302.17504935978809,
+           "violation_count": 0, "worst_margin": 29.367936998710146},
     "v2": {"which": "V2", "alpha": 2.0253161248641525, "rho": 0.0,
            "mu": 0.48219703866414043, "M_tilde": 0.82982090049964408,
            "r": 3.8564751292313866, "violation_count": 0,
@@ -605,14 +620,15 @@ _DISSIPATION_SUMMARIES = {
 # dissipation_<which>_summary.txt of the same runs, as written when V1 and
 # V2 were evaluated per state during the integration and the coefficients
 # by free functions: the series computed from the recorded norms and the
-# coefficients read from LyapunovParams reproduce them byte for byte
+# coefficients read from LyapunovParams reproduce them byte for byte (the V1
+# summary without the three lines of its second, reported-only alpha)
 _DISSIPATION_DIGESTS = {
     "v": ("dbb21a728b649f458395092f5374f67fc4cf0cff1c35d2b3d3a5be2091c41c3e",
           "d542b43612db1d6e49a9e2c801c1317d2bf6d7f117d6f4471dbe3933a202459f",
           "3008ff6b68b86ac563d3d72d6ea54643b9c5b3f202e1682294aff5a654bf7843"),
     "v1": ("04f9ef4bf89f5d2dcf41457690b7b305416c46e7910dc5b346b858108ae9d565",
            "f22a6685c6aa67f3b47058f1e5fd25c56cd116798c0d70eaf2a07ecf42b005e2",
-           "7f21901b88349d6645afcf31f3b21546c77757ee5f5e422395ea032287a354aa"),
+           "da01780d983145ba74e98f99c8d735897ba85e191cabdbfc6483f12342550566"),
     "v2": ("486c7b18ac497b34b2f2516906ccb9f6f488f7f5859a5896a319945df9d75f7e",
            "b206dff0b6d14186b1ec8a58e7c2871ca059917a9b60d44a0be27c62e5eccf4f",
            "e645cb6cbd3735de0f43c075fd1cc3c6002e527f4da58bba1cd96da7bc41d38e"),

@@ -153,6 +153,8 @@ def test_globalize_on_fitted_ensembles(kdv127):
                                    zero_disturbance())
     fit = fit_semiglobal(sys_sat, [1.0, 2.0], 3, 8.0, 1e-3, 123)
     T_r, K_g, mu_g = globalize(fit, 2.0)
+    # a radius that np.isclose matches to 2.0 reads the fitted one's ensemble
+    assert globalize(fit, 2.0 + 1e-12) == (T_r, K_g, mu_g)
     assert T_r < 8.0
     assert K_g >= 1.0
     # composed envelope majorizes the tails of the stored ensemble

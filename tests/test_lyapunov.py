@@ -76,16 +76,13 @@ def test_measure_decay_constant(grid127, kdv127, decay_C):
 
 def test_case1_params_kdv_instance(decay_C):
     # the Hilbert retraction at level 1 has C0 = k = 3
-    params = case1_params(decay_C, hilbert_norm_map(1.0), safety=0.5)
+    params = case1_params(decay_C, hilbert_norm_map(1.0))
     M, eps1, eps2 = params.M, params.eps1, params.eps2
     assert (M, params.C0, params.k) == (2.0, 3.0, 3.0)
-    # both constraint terms equal C/4 by construction at safety 1/2
+    # both constraint terms equal C/4 by construction at a share of 1/2
     assert 2.0 * M * 3.0 / eps2 == pytest.approx(decay_C / 4.0, rel=1e-12)
     assert 1.0 / eps1 == pytest.approx(decay_C / 4.0, rel=1e-12)
     assert params.alpha == pytest.approx(0.5 * decay_C, rel=1e-12)
-    # the no-C0 variant drops the factor C0 = 3 from the eps2 term
-    assert params.alpha_no_C0 == pytest.approx(decay_C - decay_C / 12.0 - decay_C / 4.0,
-                                               rel=1e-12)
     assert params.rho == pytest.approx(3.0 * 2.0 * M * eps2 + 9.0 * eps1, rel=1e-12)
     assert params.rho > 0.0
 
@@ -96,9 +93,6 @@ def test_case1_params_rejects_bad_inputs():
         case1_params(0.0, sigma)
     with pytest.raises(InfeasibleParameters):
         case1_params(-2.0, sigma)
-    for safety in (0.0, 1.0):
-        with pytest.raises(ParameterError, match="safety"):
-            case1_params(2.0, sigma, safety=safety)
 
 
 def test_case2_params_and_rate():
