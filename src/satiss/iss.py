@@ -142,8 +142,9 @@ class SemiGlobalFit:
     ensembles: dict            # r -> list of (times, norms, norm0)
 
     def at(self, r: float):
-        """(r_i, K, mu) of the fitted radius r_i that ``np.isclose`` matches to r."""
-        idx = np.nonzero(np.isclose(self.r_values, r))[0]
+        """(r_i, K, mu) of the fitted radius r_i within 1e-5 of r, relative
+        to r: radii are matched by their ratio alone, whatever their scale."""
+        idx = np.nonzero(np.isclose(self.r_values, r, atol=0.0))[0]
         if len(idx) == 0:
             raise ParameterError("no fit data at radius r = %g" % r)
         i = int(idx[0])

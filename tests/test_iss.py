@@ -148,6 +148,17 @@ def test_globalize_requires_fitted_radii():
         globalize(fit, 2.0)  # no unit-radius reference
 
 
+def test_fit_at_matches_radii_relatively():
+    # an absolute tolerance of 1e-8 would match 5e-9 to the radius 1e-9
+    times = np.linspace(0.0, 1.0, 5)
+    fit = SemiGlobalFit(np.array([1e-9, 5e-9]), np.array([1.0, 2.0]), np.array([3.0, 4.0]),
+                        np.zeros(2), {r: [(times, np.ones(5), 1.0)] for r in (1e-9, 5e-9)})
+    assert fit.at(5e-9) == (5e-9, 2.0, 4.0)
+    assert fit.at(1e-9 * (1.0 + 1e-12)) == (1e-9, 1.0, 3.0)
+    with pytest.raises(ParameterError):
+        fit.at(3e-9)
+
+
 def test_globalize_on_fitted_ensembles(kdv127):
     sys_sat = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
                                    zero_disturbance())

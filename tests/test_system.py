@@ -198,6 +198,21 @@ def test_decay_constant_reads_no_dense_matrix():
     assert "matrix" not in vars(A)
 
 
+def test_simulation_reads_no_dense_matrix():
+    # smooth_random data reach A @ z through the graph norm before the first
+    # step; the 16 tiles take 3.1 MB where the matrix would take 33.5 MB
+    grid = Grid(L, 2047)
+    A = build_kdv_operator(grid)
+    tracemalloc.start()
+    try:
+        z0 = smooth_initial_data(grid, A, 1.0, np.random.default_rng(0))
+        simulate(assemble_closed_loop(A, pointwise_linf_map(1.0)), z0, 0.005, 0.001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20 and "matrix" not in vars(A)
+
+
 def test_band_operator_validation_and_immutability(grid127, kdv127):
     n = grid127.n_interior
     with pytest.raises(GridMismatchError):
@@ -267,7 +282,7 @@ def test_operator_shape_mismatch(grid127):
         dense_operator(grid127, np.zeros((3, 3)))
 
 
-@pytest.mark.parametrize("n", [127, 2047])
+@pytest.mark.parametrize("n", [5, 127, 128, 129, 255, 511, 2047])
 def test_operator_product_is_the_dense_gemv(n):
     # A @ z is pinned bit for bit to the dense products over the matrix, so
     # that a change of its summation order, such as a banded product, shows
@@ -275,17 +290,25 @@ def test_operator_product_is_the_dense_gemv(n):
     rng = np.random.default_rng(n)
     v = rng.standard_normal(n)
     assert (A @ v).tobytes() == (A.matrix @ v).tobytes()
-    block = np.asfortranarray(rng.standard_normal((n, 3)))
-    out = A @ block
-    assert out.flags.f_contiguous
-    assert out.tobytes("F") == (block.T @ A.matrix.T).T.tobytes("F")
-    for j in range(3):
-        column = block[:, j]
-        # a block of one is the state's gemv; a wider block sums each
-        # column's at most five nonzero products in another order
-        assert (A @ block[:, [j]])[:, 0].tobytes() == (A.matrix @ column).tobytes()
-        bound = 4.0 * np.finfo(float).eps * (np.abs(A.matrix) @ np.abs(column))
-        assert np.all(np.abs(out[:, j] - A.matrix @ column) <= bound)
+    out = np.empty(n)
+    assert A.apply(v, out=out) is out and out.tobytes() == (A.matrix @ v).tobytes()
+    for m in (1, 2, 20):
+        block = np.asfortranarray(rng.standard_normal((n, m)))
+        out = A @ block
+        assert out.flags.f_contiguous
+        if n <= 128:  # one tile: the full dense gemm
+            assert out.tobytes("F") == (block.T @ A.matrix.T).T.tobytes("F")
+        for j in range(m):
+            column = block[:, j]
+            # a block of one is the state's gemv; over more tiles a wider
+            # block sums each column's at most five nonzero products in
+            # another order
+            assert (A @ block[:, [j]])[:, 0].tobytes() == (A.matrix @ column).tobytes()
+            bound = 4.0 * np.finfo(float).eps * (np.abs(A.matrix) @ np.abs(column))
+            assert np.all(np.abs(out[:, j] - A.matrix @ column) <= bound)
+    if n == 2047:  # the tile-wise gemm of the 20-column block, pinned
+        assert hashlib.sha256(out.tobytes("F")).hexdigest() \
+            == "adc7d340b75d69d5c847e82cfdd0dfdeadcfd688581fde22dda3f39d324e8917"
 
 
 def test_disturbance_kinds(grid127, kdv127, z0_cosine):
