@@ -124,14 +124,12 @@ def random_smooth_values(grid: Grid, rng, n_modes: int = 12,
     generator state yields samples of one underlying function across grids.
     """
     coeffs = rng.standard_normal(n_modes if size is None else (size, n_modes))
-    # term j is coeffs[j-1] * j**-decay * sin(j pi x / L), summed in order of j;
-    # each term is formed in one reused (rows, n) buffer
+    # term j is coeffs[j-1] * j**-decay * sin(j pi x / L); the terms are
+    # summed in order of j onto 0.0, which keeps an all-(-0.0) sum at 0.0
     weights = coeffs.reshape(-1, n_modes) * [j ** (-mode_decay)
                                              for j in range(1, n_modes + 1)]
-    v = np.zeros((len(weights), grid.n_interior))
-    term = np.empty_like(v)
-    for weight, sine in zip(weights.T[:, :, None], _sine_basis(grid, n_modes)):
-        v += np.multiply(weight, sine, out=term)
+    terms = weights.T[:, :, None] * _sine_basis(grid, n_modes)[:, None, :]
+    v = np.add.reduce(terms, axis=0, initial=0.0)
     if envelope:
         v = v * boundary_envelope(grid)
     return v[0] if size is None else v

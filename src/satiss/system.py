@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 from scipy.linalg import eigvals_banded
 from scipy.sparse.linalg import splu
@@ -32,9 +33,10 @@ from .spaces import Grid
 DISSIPATIVITY_TOLERANCE_FACTOR = 1e-8
 
 #: Rows per tile of the operator product, and the column alignment of its
-#: windows; a grid of at most ``_TILE_ROWS`` nodes is one tile.
-_TILE_ROWS = 128
-_TILE_COLUMNS = 32
+#: windows; the last tile also takes the rows left over, so no tile has
+#: fewer than ``_TILE_ROWS`` rows unless the grid has.
+_TILE_ROWS = 64
+_TILE_COLUMNS = 16
 
 
 def _band_eigenvalue(lower_diagonals) -> float:
@@ -65,23 +67,28 @@ class LinearOperator:
     Tiles and spectral values are computed on first use.  Operators are
     immutable.
 
-    The product is one ``np.matmul`` per dense tile: rows in blocks of
-    ``_TILE_ROWS``, each block's columns a window that covers its band,
+    The product is one ``np.matmul`` per group of equal dense tiles.  Rows
+    go in blocks of ``_TILE_ROWS``, the last block taking what is left;
+    each block's tile is the window of columns that covers its band,
     starting on a multiple of ``_TILE_COLUMNS`` and as wide as a multiple
-    of it, or ending at n.  A grid of n <= 128 is one tile, the whole
-    matrix, so the product is the BLAS call of ``matrix``.  At n = 2047
-    the 16 tiles hold 3.1 MB where the matrix holds 33.5 MB.
+    of it, or ending at n.  Consecutive tiles of one shape whose windows
+    step by the same number of columns form a group, held as one
+    (count, rows, width) stack.  n < 128 is one tile, the whole matrix; at
+    n = 2047 three groups hold 1.6 MB where the matrix holds 33.5 MB.
+    ``A.product(z, out)`` builds the views of one pair of buffers once;
+    ``A @ z`` builds them on each call.
 
-    Measured with OpenBLAS 0.3.31 (Haswell kernel, one thread), not
-    guaranteed: a state's product is the full dense gemv ``matrix @ z``
-    bit for bit at n = 5, 127, 128, 129, 255, 511 and 2047, over 20 random
-    states each.  Windows that start on a multiple of 4 columns keep it;
-    windows on 1 or 2 columns do not (16-row tiles moved 136 of 6,350
-    entries at n = 127).  At n = 4095 the kernel splits its sum at column
-    2048, and 15 of 40,950 entries of 10 states differed, all in rows
-    2046-2049.  A block of m > 1 states is the full dense gemm bit for bit
-    at n <= 128; over more tiles each column is within 3.7e-16 (|A| |z|)
-    of it.
+    Measured with OpenBLAS 0.3.31 (Haswell kernel), one random state or
+    block per n, not guaranteed.  On one BLAS thread a state's product is
+    the full dense gemv ``matrix @ z`` bit for bit at every n from 5 to
+    1099 and at 2047; at n = 4095 the gemv splits its sum at column 2048,
+    and 12 of 40,950 entries of 10 states differed, all in rows 2046-2049.
+    A block of m > 1 states is the full dense gemm bit for bit at
+    n <= 192; over more tiles each column is within 4 eps (|A| |z|) of it.
+    On more threads the dense products split their work and move their
+    bits; the tiles' did not move.  A short last tile moves the gemm's
+    bits (2 to 15 rows did at n = 66..79; one row makes numpy call gemv),
+    so the last block keeps at least ``_TILE_ROWS`` rows.
     """
 
     grid: Grid
@@ -101,46 +108,106 @@ class LinearOperator:
 
     def apply(self, z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """A z for a state (n,) or a column-major block (n, m), one state per
-        column, written into ``out`` if given.  Each tile writes its rows as
-        (z^T T^T)^T, which keeps a block column-major."""
+        column, written into ``out`` if given.  The views of ``_views`` are
+        built on each call; a group of one tile's plain slices are built
+        inline, so that a call at n < 128 costs one slice pair and one
+        ``np.matmul``."""
         if out is None:
             out = np.empty(z.shape, order="F")
-        for rows, columns, tile in self._tiles:
-            np.matmul(z[columns].T, tile.T, out=out[rows].T)
+        for group in self._groups:
+            rows, columns, _, tiles = group
+            if tiles.ndim == 2:
+                np.matmul(z[columns].T, tiles, out=out[rows].T)
+            else:
+                windows, stack, rows_view = self._views(z, out, group)
+                np.matmul(windows, stack, out=rows_view)
         return out
 
     __matmul__ = apply
 
-    def _block(self, r0, r1, c0, c1) -> np.ndarray:
-        """Rows [r0, r1) and columns [c0, c1) of the matrix, filled from the
-        band; the block must hold the band of its rows."""
-        n = self.grid.n_interior
-        block = np.zeros((r1 - r0, c1 - c0))
+    def product(self, z: np.ndarray, out: np.ndarray):
+        """A function of no arguments that writes A z into ``out`` from what
+        ``z`` holds when it is called; the views of ``z`` and ``out`` that
+        it reads and writes are built once, here."""
+        views = [self._views(z, out, group) for group in self._groups]
+
+        def run():
+            for windows, tiles, rows in views:
+                np.matmul(windows, tiles, out=rows)
+        return run
+
+    @staticmethod
+    def _views(z, out, group):
+        """(windows, tiles, rows) of one group: its ``np.matmul`` writes the
+        group's rows of ``out`` as (z^T T^T)^T, which keeps a block
+        column-major.  A group of one tile reads and writes plain slices; a
+        stack of ``count`` reads (count, m, width) windows of z, ``step``
+        columns apart, and writes (count, m, rows) rows of out."""
+        rows, columns, step, tiles = group
+        if tiles.ndim == 2:
+            return z[columns].T, tiles, out[rows].T
+        zt = z.T if z.ndim == 2 else z[None]
+        ot = out.T if out.ndim == 2 else out[None]
+        count, width, tile_rows = tiles.shape
+        windows = sliding_window_view(zt, width, axis=1)[
+            :, columns.start:columns.start + (count - 1) * step + 1:step]
+        return (windows.transpose(1, 0, 2), tiles, ot[:, rows].reshape(
+            (len(ot), count, tile_rows), copy=False).transpose(1, 0, 2))
+
+    def _write_band(self, layout, flat) -> list:
+        """Write the band into ``flat``, a zeroed buffer of one (count, rows,
+        width) stack per group ``(r0, rows, count, c0, step, width)`` of
+        ``layout``, in order: tile t of a group holds the rows from
+        r0 + t rows and the columns from c0 + t step.  One write per
+        diagonal; returns the stacks, views of ``flat``."""
+        diagonal_at = np.empty(self.grid.n_interior, dtype=np.intp)  # flat index of (i, i)
+        stacks, base = [], 0
+        for r0, rows, count, c0, step, width in layout:
+            j = np.arange(count * rows)
+            diagonal_at[r0:r0 + j.size] = base + j * width + r0 + j - c0 - j // rows * step
+            stacks.append(flat[base:base + j.size * width].reshape(count, rows, width))
+            base += j.size * width
         for k, diagonal in zip(range(-self.bandwidth, self.bandwidth + 1), self.band):
-            i0, i1 = max(r0, -k), min(r1, n - k)
-            if i0 < i1:
-                np.fill_diagonal(block[i0 - r0:i1 - r0, i0 + k - c0:i1 + k - c0],
-                                 diagonal[i0 + min(k, 0):i1 + min(k, 0)])
-        return block
+            i = max(-k, 0)
+            flat[diagonal_at[i:i + len(diagonal)] + k] = diagonal
+        return stacks
 
     @cached_property
-    def _tiles(self) -> tuple:
-        """(rows, columns, tile) per block of rows: two slices and the
-        C-contiguous block of the matrix they cut out."""
+    def _groups(self) -> tuple:
+        """(rows, columns, step, tiles) per group of equal tiles: the slice
+        of rows it writes, its first window, the step of its windows and its
+        read-only tiles, transposed: (width, rows) for one tile, (count,
+        width, rows) for a stack."""
         n, p, w = self.grid.n_interior, self.bandwidth, _TILE_COLUMNS
-        tiles = []
-        for r0 in range(0, n, _TILE_ROWS):
-            r1 = min(r0 + _TILE_ROWS, n)
+        starts = list(range(0, n - _TILE_ROWS + 1, _TILE_ROWS)) or [0]
+        layout = []  # [r0, rows, count, c0, step, width] per group
+        for r0, r1 in zip(starts, starts[1:] + [n]):
             c0 = max(r0 - p, 0) // w * w
-            c1 = min(c0 + math.ceil((min(r1 + p, n) - c0) / w) * w, n)
-            tiles.append((slice(r0, r1), slice(c0, c1), self._block(r0, r1, c0, c1)))
-        return tuple(tiles)
+            width = min(math.ceil((min(r1 + p, n) - c0) / w) * w, n - c0)
+            if layout:
+                group = layout[-1]
+                _, rows, count, first, step, group_width = group
+                gap = c0 - first - (count - 1) * step  # from the group's last window
+                if (rows, group_width) == (r1 - r0, width) and gap > 0 \
+                        and (count == 1 or gap == step):
+                    group[2], group[4] = count + 1, gap
+                    continue
+            layout.append([r0, r1 - r0, 1, c0, 0, width])
+        size = sum(rows * count * width for _, rows, count, _, _, width in layout)
+        stacks = self._write_band(layout, np.zeros(size))
+        groups = []
+        for (r0, rows, count, c0, step, width), stack in zip(layout, stacks):
+            stack.setflags(write=False)
+            groups.append((slice(r0, r0 + count * rows), slice(c0, c0 + width), step,
+                           stack[0].T if count == 1 else stack.transpose(0, 2, 1)))
+        return tuple(groups)
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense matrix, zero outside the band; read-only, owns its data."""
         n = self.grid.n_interior
-        m = self._block(0, n, 0, n)
+        m = np.zeros((n, n))
+        self._write_band([(0, n, 1, 0, 0, n)], m.reshape(-1))
         m.setflags(write=False)
         return m
 
@@ -320,11 +387,13 @@ class _ImexStepper:
     The buffers are allocated once and every step writes into them, in the
     IEEE order of the expressions above: ``blocks[0..3]`` hold the rows of
     z, A z, u = sigma(B* z + d) and d (their (n, m) views are ``z``, ``az``,
-    ``u`` and ``d``), two more zhat and the right-hand side.  ``cosines``
-    holds d of each member at each time the loop reads, row 2i at
-    ``times[i]`` and row 2i + 1 at its half-step: (2 steps + 1) m doubles
-    from one ``cos`` call per run.  Each time is computed as a step computes
-    it, so each entry is the per-step ``amplitude * cos(frequency * t)``.
+    ``u`` and ``d``), two more zhat and the right-hand side.  A z goes
+    from ``z`` into ``az`` through ``A.product``, whose views are built
+    once.  ``cosines`` holds d of each member at each time the loop reads,
+    row 2i at ``times[i]`` and row 2i + 1 at its half-step: (2 steps + 1) m
+    doubles from one ``cos`` call per run.  Each time is computed as a step
+    computes it, so each entry is the per-step
+    ``amplitude * cos(frequency * t)``.
     """
 
     def __init__(self, systems, dt: float, times: np.ndarray):
@@ -344,6 +413,7 @@ class _ImexStepper:
         self.blocks = np.zeros((4, m, n))
         self.z, self.az, self.u, self.d = (block.T for block in self.blocks)
         self._zhat, self._rhs = (block.T for block in np.empty((2, m, n)))
+        self._product = self._A.product(self.z, self.az)
 
     def _saturate(self, values):
         """sigma(values) in place; sigma = None is the identity."""
@@ -354,7 +424,7 @@ class _ImexStepper:
         """Fill d, A z and u = sigma(B* z + d) at ``times[i]`` from z."""
         d = self.cosines[2 * i]
         self.d[...] = d
-        self._A.apply(self.z, out=self.az)
+        self._product()
         np.add(self.z, d, out=self.u)
         self._saturate(self.u)
 

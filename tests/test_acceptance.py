@@ -66,7 +66,7 @@ def test_criterion_2_dissipativity_gate_and_consistency():
         g = Grid(L, n)
         A = build_kdv_operator(g)
         x = g.interior_nodes()
-        errors.append(float(np.max(np.abs(A.matrix @ f_np(x) - image_np(x)))))
+        errors.append(float(np.max(np.abs(A @ f_np(x) - image_np(x)))))
     ratio_1 = errors[0] / errors[1]
     ratio_2 = errors[1] / errors[2]
     assert ratio_1 >= 1.8

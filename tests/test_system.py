@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import sympy
+from numpy.lib.array_utils import byte_bounds
 
 from scipy import sparse
 
@@ -56,7 +57,7 @@ def test_kdv_operator_consistency_first_order():
         g = Grid(L, n)
         A = build_kdv_operator(g)
         x = g.interior_nodes()
-        errors.append(float(np.max(np.abs(A.matrix @ f_np(x) - image_np(x)))))
+        errors.append(float(np.max(np.abs(A @ f_np(x) - image_np(x)))))
     assert errors[0] / errors[1] >= 1.8
     assert errors[1] / errors[2] >= 1.8
 
@@ -200,7 +201,7 @@ def test_decay_constant_reads_no_dense_matrix():
 
 def test_simulation_reads_no_dense_matrix():
     # smooth_random data reach A @ z through the graph norm before the first
-    # step; the 16 tiles take 3.1 MB where the matrix would take 33.5 MB
+    # step; the tile stacks take 1.6 MB where the matrix would take 33.5 MB
     grid = Grid(L, 2047)
     A = build_kdv_operator(grid)
     tracemalloc.start()
@@ -211,6 +212,8 @@ def test_simulation_reads_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20 and "matrix" not in vars(A)
+    # head, body and tail: a step makes three BLAS calls
+    assert len(A._groups) == 3
 
 
 def test_band_operator_validation_and_immutability(grid127, kdv127):
@@ -282,33 +285,85 @@ def test_operator_shape_mismatch(grid127):
         dense_operator(grid127, np.zeros((3, 3)))
 
 
-@pytest.mark.parametrize("n", [5, 127, 128, 129, 255, 511, 2047])
+@pytest.mark.parametrize("n", [5, 63, 64, 65, 127, 128, 129, 193, 255, 257, 511,
+                               2047, 4095])
 def test_operator_product_is_the_dense_gemv(n):
     # A @ z is pinned bit for bit to the dense products over the matrix, so
-    # that a change of its summation order, such as a banded product, shows
+    # that a change of its summation order, such as a banded product, shows.
+    # At n = 4095 the dense gemv splits its sum at column 2048, which moves
+    # rows 2046-2049: there the 4 eps (|A| |z|) bound holds
     A = build_kdv_operator(Grid(L, n))
+    magnitude = LinearOperator(A.grid, [np.abs(d) for d in A.band])
+    exact = np.ones(n, dtype=bool)
+    if n == 4095:
+        exact[2046:2050] = False
+
+    def assert_is_gemv(product, v):
+        expected = A.matrix @ v
+        assert product[exact].tobytes() == expected[exact].tobytes()
+        bound = 4.0 * np.finfo(float).eps * (magnitude @ np.abs(v))
+        assert np.all(np.abs(product - expected) <= bound)
+        return expected
+
     rng = np.random.default_rng(n)
     v = rng.standard_normal(n)
-    assert (A @ v).tobytes() == (A.matrix @ v).tobytes()
+    state = A @ v
+    assert_is_gemv(state, v)
     out = np.empty(n)
-    assert A.apply(v, out=out) is out and out.tobytes() == (A.matrix @ v).tobytes()
+    assert A.apply(v, out=out) is out and out.tobytes() == state.tobytes()
+    if n == 4095:  # the state's product, pinned
+        assert hashlib.sha256(state.tobytes()).hexdigest() \
+            == "462ffc32bc7a0ab2ff2cb2aef3a0fd8066846fcf6af4d091093afbe27cfdcb54"
     for m in (1, 2, 20):
         block = np.asfortranarray(rng.standard_normal((n, m)))
         out = A @ block
         assert out.flags.f_contiguous
-        if n <= 128:  # one tile: the full dense gemm
+        if n <= 129:  # the full dense gemm, on one BLAS thread up to n = 192
             assert out.tobytes("F") == (block.T @ A.matrix.T).T.tobytes("F")
         for j in range(m):
             column = block[:, j]
             # a block of one is the state's gemv; over more tiles a wider
             # block sums each column's at most five nonzero products in
             # another order
-            assert (A @ block[:, [j]])[:, 0].tobytes() == (A.matrix @ column).tobytes()
-            bound = 4.0 * np.finfo(float).eps * (np.abs(A.matrix) @ np.abs(column))
-            assert np.all(np.abs(out[:, j] - A.matrix @ column) <= bound)
+            expected = assert_is_gemv((A @ block[:, [j]])[:, 0], column)
+            bound = 4.0 * np.finfo(float).eps * (magnitude @ np.abs(column))
+            assert np.all(np.abs(out[:, j] - expected) <= bound)
     if n == 2047:  # the tile-wise gemm of the 20-column block, pinned
         assert hashlib.sha256(out.tobytes("F")).hexdigest() \
             == "adc7d340b75d69d5c847e82cfdd0dfdeadcfd688581fde22dda3f39d324e8917"
+
+
+def test_product_views_stay_in_their_buffers():
+    # the stepper's z and A z are neighbouring blocks of one buffer: each
+    # group's windows must read inside z and its rows write inside A z, for
+    # every layout of KdV tiles up to n = 300, for a dense band, whose
+    # windows do not move from tile to tile, and for a band of n / 8
+    rng = np.random.default_rng(0)
+    for n in range(5, 301):
+        grid = Grid(L, n)
+        operators = [build_kdv_operator(grid)]
+        if n % 16 in (0, 1):
+            dense = rng.standard_normal((n, n)) / n
+            operators.append(dense_operator(grid, dense))
+            operators.append(LinearOperator(grid, [np.diagonal(dense, k) for k in
+                                                   range(-(n // 8), n // 8 + 1)]))
+        for A in operators:
+            for m in (1, 3):
+                stepper = _ImexStepper([assemble_closed_loop(A, None)] * m, 1e-3,
+                                       np.array([0.0, 1e-3]))
+                stepper.z[...] = rng.standard_normal((n, m))
+                covered = 0
+                for group in A._groups:
+                    windows, _, rows = A._views(stepper.z, stepper.az, group)
+                    for view, buffer in ((windows, stepper.blocks[0]),
+                                         (rows, stepper.blocks[1])):
+                        low, high = byte_bounds(view)
+                        first, end = byte_bounds(buffer)
+                        assert first <= low and high <= end
+                    covered += rows.size // m
+                assert covered == n
+                stepper.evaluate(0)
+                assert stepper.az.tobytes("F") == (A @ stepper.z).tobytes("F")
 
 
 def test_disturbance_kinds(grid127, kdv127, z0_cosine):
