@@ -316,7 +316,14 @@ def run_experiment(config: dict, output_dir=None):
 
         with Trajectory.write_states_csv(_listed(outdir, files, "states.csv"), grid) \
                 if config["output.states"] else nullcontext() as sink:
-            traj = simulate(sys_loop, z0, T, dt, on_rows=sink)
+            if config["analysis.gap"]:
+                # the main run is member 0 of the gap's batch
+                gap = iss_mod.GapSums(sink)
+                pair = simulate([sys_loop, replace(sys_loop, d=zero_disturbance())],
+                                [z0, z0], T, dt, on_rows=gap)
+                traj = pair.member(0)
+            else:
+                traj = simulate(sys_loop, z0, T, dt, on_rows=sink)
         if params:
             traj.observables.update((name, series(traj)) for name, series
                                     in lyap.trajectory_observers(params).items())
@@ -339,8 +346,8 @@ def run_experiment(config: dict, output_dir=None):
                 ("worst_margin", report.worst_margin)]))
 
         if config["analysis.gap"]:
-            gap = iss_mod.gronwall_gap(sys_loop, z0, sys_loop.d, T, dt)
-            gap.write_csv(_listed(outdir, files, "gap.csv"))
+            gap.report(pair, sys_loop.feedback_lipschitz).write_csv(
+                _listed(outdir, files, "gap.csv"))
 
         r_list = config["analysis.semiglobal_r"]
         if r_list:
@@ -412,9 +419,10 @@ def reproduce_figure1(output_dir):
 
     Both runs start from z0(x) = 1 - cos(x) on [0, 2*pi]; run (a) applies
     the pointwise saturation at level 1 under d(t) = 0.05 cos(t), run (b)
-    the plain linear feedback without disturbance.  Artifacts: the full
-    state history of run (a), the paired norm traces, the observables of
-    run (a), and a manifest.
+    the plain linear feedback without disturbance.  Both runs are one
+    batch: run (b) is saturation at level +inf, its single run bit for bit.
+    Artifacts: the full state history of run (a), the paired norm traces,
+    the observables of run (a), and a manifest.
     """
     with _output_dir(output_dir) as (outdir, files):
         L = 2.0 * math.pi
@@ -423,19 +431,18 @@ def reproduce_figure1(output_dir):
         z0 = StateVector(grid, 1.0 - np.cos(grid.interior_nodes()))
         sigma = pointwise_linf_map(1.0, L)
 
+        runs = [assemble_closed_loop(A, sigma, cosine_disturbance(0.05, 1.0)),
+                assemble_closed_loop(A, None, zero_disturbance())]
         with Trajectory.write_states_csv(_listed(outdir, files, "figure1_states.csv"),
                                          grid) as sink:
-            disturbed = simulate(assemble_closed_loop(A, sigma,
-                                                      cosine_disturbance(0.05, 1.0)),
-                                 z0, FIGURE1_T, FIGURE1_DT, on_rows=sink)
-        linear = simulate(assemble_closed_loop(A, None, zero_disturbance()),
-                          z0, FIGURE1_T, FIGURE1_DT)
+            both = simulate(runs, [z0, z0], FIGURE1_T, FIGURE1_DT,
+                            on_rows=lambda times, rows: sink(times, rows[0]))
 
-        disturbed.write_observables_csv(_listed(outdir, files, "figure1_observables.csv"))
+        both.member(0).write_observables_csv(
+            _listed(outdir, files, "figure1_observables.csv"))
         write_csv(_listed(outdir, files, "figure1_norms.csv"),
                   ("t", "norm_disturbed", "norm_linear"),
-                  [disturbed.times, disturbed.observables["norm_l2"],
-                   linear.observables["norm_l2"]])
+                  [both.times, *both.observables["norm_l2"]])
         _write_manifest(outdir, files, [
             ("preset", "figure1"), ("domain.L", L),
             ("domain.n_interior", FIGURE1_N_INTERIOR), ("time.T", FIGURE1_T),

@@ -4,7 +4,9 @@ Four instruments; those that integrate run their members as one batch
 and read its (members, steps + 1) series whole, as array expressions:
 
 * ``gronwall_gap`` bounds the gap between a disturbed run and its
-  undisturbed twin.  Two bounds are evaluated: the integral bound
+  undisturbed twin; ``GapSums`` bounds it on a batch integrated elsewhere,
+  which ``satiss run`` uses to take its main run and the gap from one
+  integration.  Two bounds are evaluated: the integral bound
   sqrt(k/2 * int ||d||^2) with the exponential factor dropped, and the
   conservative one that keeps exp(3/2 k ||B*||^2 (t - s)) inside the
   convolution.  Only the conservative bound is expected to hold;
@@ -71,40 +73,55 @@ def _bound_violations(values, bounds):
     return int(np.sum(values > bounds + tol))
 
 
-def gronwall_gap(sys: SaturatedSystem, z0: StateVector, d, T: float, dt: float) -> GapReport:
-    """Simulate the disturbed loop and its undisturbed twin from the same z0
-    and bound the gap z~ = z^d - z per step, summed from the state rows as
-    ``simulate`` streams them."""
-    k = sys.feedback_lipschitz
-    sums = []
+class GapSums:
+    """The ``on_rows`` of a batch whose members 0 and 1, a disturbed run and
+    its undisturbed twin, start from one z0: it sums the squares of the gap
+    z~ = z^d - z per step, block by block, and hands member 0's rows on to
+    ``on_rows``, if given.  ``report`` bounds the gap once the batch is
+    integrated."""
 
-    def gap_sums(times, rows):
+    def __init__(self, on_rows=None):
+        self._sums, self._on_rows = [], on_rows
+
+    def __call__(self, times, rows):
         diff = rows[0] - rows[1]
         diff *= diff  # in place: no second (k, n) temporary
-        sums.append(np.sum(diff, axis=1))
+        self._sums.append(np.sum(diff, axis=1))
+        if self._on_rows is not None:
+            self._on_rows(times, rows[0])
 
+    def report(self, pair: Trajectory, k: float) -> GapReport:
+        """Both bounds of the gap on the batch's trajectory ``pair``, for
+        feedback of Lipschitz constant k."""
+        gap = np.sqrt(pair.grid.spacing_h * np.concatenate(self._sums))
+        dsq = pair.observables["norm_d"][0] ** 2
+        times = pair.times
+        n = len(times)
+        plain = np.zeros(n)
+        convolved = np.zeros(n)
+        a = 1.5 * k  # 1.5 k ||B||^2 with B the identity
+        for i in range(1, n):
+            step = times[i] - times[i - 1]
+            plain[i] = plain[i - 1] + 0.5 * step * (dsq[i - 1] + dsq[i])
+            grow = math.exp(a * step)
+            convolved[i] = grow * convolved[i - 1] + 0.5 * step * (grow * dsq[i - 1] + dsq[i])
+        plain_bound = np.sqrt(0.5 * k * plain)
+        conservative = np.sqrt(0.5 * k * convolved)
+        return GapReport(
+            times=times, gap=gap, plain_bound=plain_bound,
+            conservative_bound=conservative,
+            plain_bound_violations=_bound_violations(gap, plain_bound),
+            conservative_violations=_bound_violations(gap, conservative),
+        )
+
+
+def gronwall_gap(sys: SaturatedSystem, z0: StateVector, d, T: float, dt: float) -> GapReport:
+    """Simulate the loop disturbed by ``d`` and its undisturbed twin from
+    the same z0, as one batch, and bound the gap z~ = z^d - z per step."""
+    sums = GapSums()
     pair = simulate([replace(sys, d=d), replace(sys, d=zero_disturbance())],
-                    [z0, z0], T, dt, on_rows=gap_sums)
-    gap = np.sqrt(sys.A.grid.spacing_h * np.concatenate(sums))
-    dsq = pair.observables["norm_d"][0] ** 2
-    times = pair.times
-    n = len(times)
-    plain = np.zeros(n)
-    convolved = np.zeros(n)
-    a = 1.5 * k  # 1.5 k ||B||^2 with B the identity
-    for i in range(1, n):
-        step = times[i] - times[i - 1]
-        plain[i] = plain[i - 1] + 0.5 * step * (dsq[i - 1] + dsq[i])
-        grow = math.exp(a * step)
-        convolved[i] = grow * convolved[i - 1] + 0.5 * step * (grow * dsq[i - 1] + dsq[i])
-    plain_bound = np.sqrt(0.5 * k * plain)
-    conservative = np.sqrt(0.5 * k * convolved)
-    return GapReport(
-        times=times, gap=gap, plain_bound=plain_bound,
-        conservative_bound=conservative,
-        plain_bound_violations=_bound_violations(gap, plain_bound),
-        conservative_violations=_bound_violations(gap, conservative),
-    )
+                    [z0, z0], T, dt, on_rows=sums)
+    return sums.report(pair, sys.feedback_lipschitz)
 
 
 def _majorizing_exponential_fit(times, norms, norm0):

@@ -92,8 +92,9 @@ def _column_norms(values: np.ndarray, h: float) -> np.ndarray:
     return np.sqrt(h * np.vecdot(values, values, axis=0))
 
 
-def _ball_scales(values: np.ndarray, level: float, h: float) -> list:
-    """level / max(norm, level) for each column of ``values``, as floats.
+def _ball_scales(values: np.ndarray, level, h: float) -> list:
+    """level / max(norm, level) for each column of ``values``, as floats;
+    ``level`` is one float or an array of one per column.
 
     The sums of squares are one reduction over the block, as in
     ``_column_norms``; the rest is the same IEEE double arithmetic done one
@@ -103,15 +104,18 @@ def _ball_scales(values: np.ndarray, level: float, h: float) -> list:
     below 1 whenever norm > level), and a column with a NaN norm NaN.
     """
     sums = np.vecdot(values, values, axis=0).reshape(-1).tolist()
-    return [1.0 if nrm <= level else level / nrm
-            for nrm in [math.sqrt(h * s) for s in sums]]
+    levels = level.tolist() if isinstance(level, np.ndarray) else [level] * len(sums)
+    return [1.0 if nrm <= lv else lv / nrm
+            for nrm, lv in zip([math.sqrt(h * s) for s in sums], levels)]
 
 
-def _sat_values(kind: SaturationKind, values: np.ndarray, level: float, h: float,
+def _sat_values(kind: SaturationKind, values: np.ndarray, level, h: float,
                 out: np.ndarray = None) -> np.ndarray:
     """sigma of one state (n,), or of each column of an (n, m) block whose
     columns are contiguous (see ``_column_norms``); written into ``out``
-    when given, which may be ``values`` itself."""
+    when given, which may be ``values`` itself.  ``level`` is one float, or
+    for a block an (m,) array of one per column, where +inf leaves its
+    column as it is, bit for bit."""
     if kind is SaturationKind.POINTWISE_LINF:
         return _clip(values, -level, level, out=out)
     if out is None:

@@ -13,11 +13,11 @@ explicit midpoint rule on the globally Lipschitz feedback term.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 from scipy.linalg import eigvals_banded
 from scipy.sparse.linalg import splu
@@ -35,7 +35,7 @@ DISSIPATIVITY_TOLERANCE_FACTOR = 1e-8
 #: Rows per tile of the operator product, and the column alignment of its
 #: windows; the last tile also takes the rows left over, so no tile has
 #: fewer than ``_TILE_ROWS`` rows unless the grid has.
-_TILE_ROWS = 64
+_TILE_ROWS = 16
 _TILE_COLUMNS = 16
 
 
@@ -73,22 +73,25 @@ class LinearOperator:
     starting on a multiple of ``_TILE_COLUMNS`` and as wide as a multiple
     of it, or ending at n.  Consecutive tiles of one shape whose windows
     step by the same number of columns form a group, held as one
-    (count, rows, width) stack.  n < 128 is one tile, the whole matrix; at
-    n = 2047 three groups hold 1.6 MB where the matrix holds 33.5 MB.
-    ``A.product(z, out)`` builds the views of one pair of buffers once;
-    ``A @ z`` builds them on each call.
+    (count, 1, width, rows) stack.  n < 32 is one tile, the whole matrix;
+    from n = 48 on the KdV band makes three groups, head, body and tail,
+    which at n = 2047 hold 0.78 MB where the matrix holds 33.5 MB.  A
+    group's ``np.matmul`` multiplies each window of each state by its tile
+    as one gemv, so column j of a block is the product of its state j bit
+    for bit, for every m.  ``A.product(z, out)`` builds the views of one
+    pair of buffers once; ``A @ z`` builds them on each call for a block,
+    and copies a state through one such pair.
 
-    Measured with OpenBLAS 0.3.31 (Haswell kernel), one random state or
-    block per n, not guaranteed.  On one BLAS thread a state's product is
-    the full dense gemv ``matrix @ z`` bit for bit at every n from 5 to
-    1099 and at 2047; at n = 4095 the gemv splits its sum at column 2048,
-    and 12 of 40,950 entries of 10 states differed, all in rows 2046-2049.
-    A block of m > 1 states is the full dense gemm bit for bit at
-    n <= 192; over more tiles each column is within 4 eps (|A| |z|) of it.
-    On more threads the dense products split their work and move their
-    bits; the tiles' did not move.  A short last tile moves the gemm's
-    bits (2 to 15 rows did at n = 66..79; one row makes numpy call gemv),
-    so the last block keeps at least ``_TILE_ROWS`` rows.
+    Measured with OpenBLAS 0.3.31 on one random state per n, not
+    guaranteed.  The build targets Haswell; on the host measured it picked
+    its SkylakeX kernels at run time, which another CPU may not get.  On
+    one BLAS thread a state's product is the full dense gemv ``matrix @ z``
+    bit for bit at every n from 5 to 1099 and at 2047; at n = 4095 the gemv
+    splits its sum at column 2048, and 4 of its 4095 entries differ, all in
+    rows 2046-2049.  The tile products were the same on one and on two
+    threads at every n measured; the dense gemv moved at 97 of the 1097 n
+    where it was compared.  A tile of one row would make numpy call a dot,
+    not a gemv, so the last block keeps at least ``_TILE_ROWS`` rows.
     """
 
     grid: Grid
@@ -108,51 +111,72 @@ class LinearOperator:
 
     def apply(self, z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """A z for a state (n,) or a column-major block (n, m), one state per
-        column, written into ``out`` if given.  The views of ``_views`` are
-        built on each call; a group of one tile's plain slices are built
-        inline, so that a call at n < 128 costs one slice pair and one
-        ``np.matmul``."""
+        column, written into ``out`` if given, which must be a state or a
+        column-major block of z's shape.  A state is copied through the
+        buffers of ``_state_product``, whose views are built once; a block's
+        views are built on each call."""
+        if z.shape[0] != self.grid.n_interior:
+            raise GridMismatchError("a product of %d rows cannot take %d values per "
+                                    "state" % (self.grid.n_interior, z.shape[0]))
         if out is None:
             out = np.empty(z.shape, order="F")
-        for group in self._groups:
-            rows, columns, _, tiles = group
-            if tiles.ndim == 2:
-                np.matmul(z[columns].T, tiles, out=out[rows].T)
-            else:
-                windows, stack, rows_view = self._views(z, out, group)
-                np.matmul(windows, stack, out=rows_view)
+        elif out.shape != z.shape:
+            raise GridMismatchError("out has shape %r, z %r" % (out.shape, z.shape))
+        if z.ndim == 1:
+            state, image, product, lock = self._state_product
+            with lock:
+                state[:, 0] = z
+                product()
+                out[...] = image[:, 0]
+            return out
+        for windows, tiles, rows in self._views(np.ascontiguousarray(z.T, dtype=float),
+                                                out.T):
+            np.matmul(windows, tiles, out=rows)
         return out
 
     __matmul__ = apply
 
+    @cached_property
+    def _state_product(self) -> tuple:
+        """(z, A z, product, lock): the (n, 1) buffers that a state's product
+        goes through, their prebuilt product, and the lock that keeps one
+        call at a time in them.  Building the views costs more than the
+        product of a state at n = 127, and set-up takes one graph norm per
+        initial state."""
+        state, image = (np.empty((self.grid.n_interior, 1), order="F") for _ in range(2))
+        return state, image, self.product(state, image), threading.Lock()
+
     def product(self, z: np.ndarray, out: np.ndarray):
         """A function of no arguments that writes A z into ``out`` from what
-        ``z`` holds when it is called; the views of ``z`` and ``out`` that
-        it reads and writes are built once, here."""
-        views = [self._views(z, out, group) for group in self._groups]
+        ``z`` holds when it is called; ``z`` and ``out`` are column-major
+        (n, m) blocks, and the views of them that it reads and writes are
+        built once, here."""
+        views = self._views(z.T, out.T)
 
         def run():
             for windows, tiles, rows in views:
                 np.matmul(windows, tiles, out=rows)
         return run
 
-    @staticmethod
-    def _views(z, out, group):
-        """(windows, tiles, rows) of one group: its ``np.matmul`` writes the
-        group's rows of ``out`` as (z^T T^T)^T, which keeps a block
-        column-major.  A group of one tile reads and writes plain slices; a
-        stack of ``count`` reads (count, m, width) windows of z, ``step``
-        columns apart, and writes (count, m, rows) rows of out."""
-        rows, columns, step, tiles = group
-        if tiles.ndim == 2:
-            return z[columns].T, tiles, out[rows].T
-        zt = z.T if z.ndim == 2 else z[None]
-        ot = out.T if out.ndim == 2 else out[None]
-        count, width, tile_rows = tiles.shape
-        windows = sliding_window_view(zt, width, axis=1)[
-            :, columns.start:columns.start + (count - 1) * step + 1:step]
-        return (windows.transpose(1, 0, 2), tiles, ot[:, rows].reshape(
-            (len(ot), count, tile_rows), copy=False).transpose(1, 0, 2))
+    def _views(self, zt, ot) -> list:
+        """(windows, tiles, rows) per group, for the rows of ``zt`` and
+        ``ot``, (m, n) C-contiguous float arrays, one state each: the group's
+        ``np.matmul`` reads (count, m, 1, width) windows of zt, ``step``
+        columns apart, and writes (count, m, 1, rows) rows of ot.  Each
+        window row times its tile is one gemv, so a state's product is the
+        same BLAS call whether it is alone or in a block.  The views are
+        built over the buffers of zt and ot, and numpy checks that those
+        hold them."""
+        if not (zt.flags.c_contiguous and ot.flags.c_contiguous
+                and zt.dtype == ot.dtype == float):
+            raise ValueError("the product reads and writes column-major float blocks only")
+        m, z_stride, out_stride, item = len(zt), zt.strides[0], ot.strides[0], zt.itemsize
+        return [(np.ndarray((count, m, 1, width), float, zt, first_column * item,
+                            (step * item, z_stride, 0, item)), tiles,
+                 np.ndarray((count, m, 1, rows), float, ot, first_row * item,
+                            (rows * item, out_stride, 0, item)))
+                for first_row, first_column, step, tiles in self._groups
+                for count, _, width, rows in [tiles.shape]]
 
     def _write_band(self, layout, flat) -> list:
         """Write the band into ``flat``, a zeroed buffer of one (count, rows,
@@ -174,10 +198,10 @@ class LinearOperator:
 
     @cached_property
     def _groups(self) -> tuple:
-        """(rows, columns, step, tiles) per group of equal tiles: the slice
-        of rows it writes, its first window, the step of its windows and its
-        read-only tiles, transposed: (width, rows) for one tile, (count,
-        width, rows) for a stack."""
+        """(first row, first column, step, tiles) per group of equal tiles:
+        the first row it writes, where its first window starts, the step of
+        its windows, and its read-only tiles, transposed, as a (count, 1,
+        width, rows) stack."""
         n, p, w = self.grid.n_interior, self.bandwidth, _TILE_COLUMNS
         starts = list(range(0, n - _TILE_ROWS + 1, _TILE_ROWS)) or [0]
         layout = []  # [r0, rows, count, c0, step, width] per group
@@ -196,10 +220,9 @@ class LinearOperator:
         size = sum(rows * count * width for _, rows, count, _, _, width in layout)
         stacks = self._write_band(layout, np.zeros(size))
         groups = []
-        for (r0, rows, count, c0, step, width), stack in zip(layout, stacks):
+        for (r0, _, _, c0, step, _), stack in zip(layout, stacks):
             stack.setflags(write=False)
-            groups.append((slice(r0, r0 + count * rows), slice(c0, c0 + width), step,
-                           stack[0].T if count == 1 else stack.transpose(0, 2, 1)))
+            groups.append((r0, c0, step, stack.transpose(0, 2, 1)[:, None]))
         return tuple(groups)
 
     @cached_property
@@ -357,15 +380,15 @@ def assemble_closed_loop(A: LinearOperator, sigma: SaturationMap,
     return SaturatedSystem(A=A, sigma=sigma, d=d)
 
 
-def _half_step(sys0, dt):
-    """(dt, solve) of the half-step system I - dt/2 A."""
-    if dt * sys0.feedback_lipschitz >= 1.0:
+def _half_step(A, k, dt):
+    """(dt, solve) of the half-step system I - dt/2 A, for feedback of
+    Lipschitz constant k."""
+    if dt * k >= 1.0:
         raise ParameterError(
-            "dt * k = %g >= 1: explicit feedback term needs a smaller step"
-            % (dt * sys0.feedback_lipschitz))
+            "dt * k = %g >= 1: explicit feedback term needs a smaller step" % (dt * k))
     try:
-        return dt, splu(sparse.identity(sys0.A.grid.n_interior, format="csc")
-                        - (dt / 2.0) * sys0.A.csc).solve
+        return dt, splu(sparse.identity(A.grid.n_interior, format="csc")
+                        - (dt / 2.0) * A.csc).solve
     except RuntimeError as exc:
         raise ParameterError("half-step system is singular: %s" % exc)
 
@@ -377,12 +400,16 @@ class _ImexStepper:
     zhat = z + dt/2 (A z - sigma(B* z + d(t))).
 
     It advances an (n, m) block of members, one column each, that share A
-    and sigma and differ in d, over the ``times`` of one run: steps of
-    ``dt``, the last one to ``times[-1]``, LU-factored apart when shorter.
-    Blocks are column-major, so each member's column is contiguous and its
-    reductions are the BLAS dot ``np.dot`` applies to a single state; a
-    batch of one reproduces the single-state arithmetic bit for bit.  One
-    LU factor per (A, dt) and one solve cover all m columns.
+    and the saturation kind and may differ in d and in the level, over the
+    ``times`` of one run: steps of ``dt``, the last one to ``times[-1]``,
+    LU-factored apart when shorter.
+    Blocks are column-major, so each member's column is contiguous, its
+    reductions are the BLAS dot ``np.dot`` applies to a single state and its
+    product is the state's gemv (``LinearOperator``): each member's
+    arithmetic is that of its single run, bit for bit.  A member without a
+    saturation map is saturated at level +inf, which returns its values bit
+    for bit under either kind.  One LU factor per (A, dt) and one solve
+    cover all m columns.
 
     The buffers are allocated once and every step writes into them, in the
     IEEE order of the expressions above: ``blocks[0..3]`` hold the rows of
@@ -397,11 +424,15 @@ class _ImexStepper:
     """
 
     def __init__(self, systems, dt: float, times: np.ndarray):
-        sys0 = systems[0]
-        self._A, self._sigma, self._h = sys0.A, sys0.sigma, sys0.A.grid.spacing_h
-        step = _half_step(sys0, dt)
+        A, k = systems[0].A, max(s.feedback_lipschitz for s in systems)
+        self._A, self._h = A, A.grid.spacing_h
+        self._kind = next((s.sigma.kind for s in systems if s.sigma is not None), None)
+        levels = [math.inf if s.sigma is None else s.sigma.level for s in systems]
+        # one level for the whole block where the members share it
+        self._level = levels[0] if len(set(levels)) == 1 else np.array(levels)
+        step = _half_step(A, k, dt)
         last_dt = float(times[-1] - times[-2])
-        last = step if abs(last_dt - dt) <= 1e-12 * dt else _half_step(sys0, last_dt)
+        last = step if abs(last_dt - dt) <= 1e-12 * dt else _half_step(A, k, last_dt)
         self._steps = [step] * (len(times) - 2) + [last]  # (dt, solve) per step
         at = np.repeat(times, 2)[:-1]  # t_i, then t_i + dt/2 for i < steps
         at[1::2] += 0.5 * dt
@@ -409,16 +440,17 @@ class _ImexStepper:
         amplitude = np.array([s.d.amplitude for s in systems])
         frequency = np.array([s.d.frequency for s in systems])
         self.cosines = amplitude * np.cos(frequency * at[:, None])
-        n, m = sys0.A.grid.n_interior, len(systems)
+        n, m = A.grid.n_interior, len(systems)
         self.blocks = np.zeros((4, m, n))
         self.z, self.az, self.u, self.d = (block.T for block in self.blocks)
         self._zhat, self._rhs = (block.T for block in np.empty((2, m, n)))
         self._product = self._A.product(self.z, self.az)
 
     def _saturate(self, values):
-        """sigma(values) in place; sigma = None is the identity."""
-        if self._sigma is not None:
-            _sat_values(self._sigma.kind, values, self._sigma.level, self._h, out=values)
+        """sigma(values) in place, each member at its level; a block with no
+        saturation map is left as it is."""
+        if self._kind is not None:
+            _sat_values(self._kind, values, self._level, self._h, out=values)
 
     def evaluate(self, i: int):
         """Fill d, A z and u = sigma(B* z + d) at ``times[i]`` from z."""
@@ -460,6 +492,11 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
+    def member(self, j: int) -> Trajectory:
+        """Member j of a batch's trajectory: the series of its single run."""
+        return Trajectory(self.grid, self.times,
+                          {name: series[j] for name, series in self.observables.items()})
+
     def write_observables_csv(self, path):
         """One line per time of one run; a series not filled in reads nan."""
         unset = np.full(len(self.times), math.nan)
@@ -485,15 +522,12 @@ def simulate(sys, z0, T: float, dt: float, on_rows=None):
 
     ``sys`` and ``z0`` are one system and one initial state, or
     equal-length lists of m of them; the listed systems must share ``A``
-    and ``sigma`` and may differ in ``d``.  Either way the result is one
-    Trajectory, whose series are (steps + 1,) for one system and
-    (m, steps + 1) for a list, row j that of member j.  A list of one gives
-    the single-system series bit for bit; a member of a larger batch drifts
-    from its single run with the summation order of the product's gemm.
-    Over 51 steps of a 4-member batch its states and norms drifted by up to
-    5.2e-15 relative at n=127, 2.7e-14 at n=255 and 3.9e-12 at n=2047, and
-    its graph norm, whose A z cancels terms of order 1 / h^3, by up to
-    8.5e-13, 9.6e-12 and 9.3e-9.  All members
+    and the kind of their saturation maps, and may differ in ``d`` and in
+    the level; a system without a map (``sigma`` None) joins a batch of
+    either kind at level +inf.  Either way the result is one Trajectory,
+    whose series are (steps + 1,) for one system and (m, steps + 1) for a
+    list, row j that of member j.  Row j, and the states handed out for
+    it, are member j's single run bit for bit, for every m.  All members
     advance together as one block, in the buffers of one ``_ImexStepper``,
     with d read from its cosine table: under 2 m (steps + 1) doubles, as
     many as the recorded norms.  V is recorded as ||z||^2; V1 and V2 are not recorded: the
@@ -521,10 +555,11 @@ def simulate(sys, z0, T: float, dt: float, on_rows=None):
         raise ParameterError("horizon T must be positive and finite, got %r" % (T,))
     if not 0 < dt <= T:
         raise ParameterError("dt must lie in (0, T]")
-    sys0 = systems[0]
-    if any(s.A is not sys0.A or s.sigma != sys0.sigma for s in systems):
-        raise ParameterError("batched systems must share A and sigma")
-    grid = sys0.A.grid
+    A = systems[0].A
+    if any(s.A is not A for s in systems) or len(
+            {s.sigma.kind for s in systems if s.sigma is not None}) > 1:
+        raise ParameterError("batched systems must share A and the saturation kind")
+    grid = A.grid
     if any(z0_j.grid != grid for z0_j in z0s):
         raise GridMismatchError("initial state and system live on different grids")
     h = grid.spacing_h

@@ -103,19 +103,43 @@ def test_run_artifacts_byte_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def _counting_simulate(monkeypatch):
+    """Replace ``satiss.cli.simulate`` with a wrapper that records, per
+    call, the number of systems and whether a row sink was passed."""
+    calls, real = [], cli.simulate
+
+    def recording(sys, *args, **kwargs):
+        calls.append((len(sys) if isinstance(sys, list) else 1,
+                      kwargs.get("on_rows") is not None))
+        return real(sys, *args, **kwargs)
+    monkeypatch.setattr(cli, "simulate", recording)
+    return calls
+
+
 @pytest.mark.parametrize("states", [False, True])
 def test_run_passes_a_state_sink_only_when_written(tmp_path, monkeypatch, states):
-    # the gap report integrates its own twins and sums their rows itself
-    sinks, real = [], cli.simulate
-
-    def recording(*args, **kwargs):
-        sinks.append(kwargs.get("on_rows") is not None)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(cli, "simulate", recording)
-    body = MINIMAL + "analysis.gap = true\noutput.states = %s\n" % str(states).lower()
+    calls = _counting_simulate(monkeypatch)
+    body = MINIMAL + "output.states = %s\n" % str(states).lower()
     _, files = run_experiment(parse_config_text(body.format(out=tmp_path / "out")))
-    assert sinks == [states]
+    assert calls == [(1, states)]
+    assert ("states.csv" in files) == states
+
+
+@pytest.mark.parametrize("states", [False, True])
+def test_run_with_gap_integrates_once(tmp_path, monkeypatch, states):
+    # the main run is member 0 of the gap's batch, its single run bit for
+    # bit: its artifacts are those of a run without the gap
+    body = (MINIMAL.replace("time.T = 0.001", "time.T = 0.05")
+            + "disturbance.kind = cosine\ndisturbance.amplitude = 0.3\n"
+            + "output.states = %s\n" % str(states).lower())
+    alone, _ = run_experiment(parse_config_text(body.format(out=tmp_path / "alone")))
+    calls = _counting_simulate(monkeypatch)
+    outdir, files = run_experiment(parse_config_text(
+        (body + "analysis.gap = true\n").format(out=tmp_path / "out")))
+    assert calls == [(2, True)]
     assert ("states.csv" in files) == states and "gap.csv" in files
+    for name in ("states.csv", "trajectory.csv") if states else ("trajectory.csv",):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
 def test_output_root_env_override(tmp_path, monkeypatch):
@@ -141,8 +165,11 @@ _FIGURE1_DIGESTS = {
 }
 
 
-def test_figure1_artifacts_and_decay(tmp_path):
+def test_figure1_artifacts_and_decay(tmp_path, monkeypatch):
+    # both runs are one batch of two, each member its single run bit for bit
+    calls = _counting_simulate(monkeypatch)
     outdir, files = reproduce_figure1(str(tmp_path / "fig"))
+    assert calls == [(2, True)]
     assert sorted(files) == sorted(_FIGURE1_DIGESTS)
     assert {name: hashlib.sha256((tmp_path / "fig" / name).read_bytes()).hexdigest()
             for name in files} == _FIGURE1_DIGESTS
@@ -542,9 +569,11 @@ output_dir = {out}
 
 # sha256 of semiglobal.txt and trajectory.csv of the run below, as written
 # when the fit read one (times, norms, norm0) tuple per member; semiglobal.txt
-# holds the same four values per radius, one key=value per line
+# holds the same four values per radius, one key=value per line.  It was
+# re-pinned when a batch member became its single run bit for bit: K, mu and
+# lift moved in their last two or three digits, by at most 3.3e-15 (K = 1.54)
 _SEMIGLOBAL_DIGESTS = {
-    "semiglobal.txt": "2007ade5a504bf93f7df5cbeec15c5f7591fa4a813bc5aab8619d7004eac5fe5",
+    "semiglobal.txt": "f834c0dc3d8f34274bf09cb6f890bd31c113c58522859ca8c0494c1315e2c412",
     "trajectory.csv": "db35731c4432f86cb6d8e59229d9976d18eec7dc61e464139115699422ed142c",
 }
 
@@ -570,9 +599,11 @@ output_dir = {out}
 
 # sha256 of what `satiss certify` writes for the shipped certify.cfg at
 # T = 0.5, as written when the certificate looped over per-member tuples;
-# the manifest echoes the 25 keys of the schema
+# the manifest echoes the 25 keys of the schema.  certificate.txt was
+# re-pinned when a batch member became its single run bit for bit: K, mu and
+# rho_gain moved by at most 1.5e-14
 _CERTIFY_DIGESTS = {
-    "certificate.txt": "3f332d7a7fb3c0c3c48dca064c01ba40a53ef7006bbc6fc831bc257abe8e1e03",
+    "certificate.txt": "eca52eea302084dca0c034bb9d0ca885f3166216fc5fe2a6d3c191477faa3df6",
     "manifest.txt": "420e477cb81ffb9b48b88446199b08a8c1306ec30f11b2342041def5e099e28e",
 }
 
