@@ -217,7 +217,12 @@ def _initial_state(config, grid, A):
     if family == "zero":
         return StateVector(grid, np.zeros(grid.n_interior))
     if family == "one_minus_cosine":
-        return StateVector(grid, amp * (1.0 - np.cos(2.0 * np.pi * x / grid.length_L)))
+        with np.errstate(over="ignore"):
+            values = amp * (1.0 - np.cos(2.0 * np.pi * x / grid.length_L))
+        if not np.isfinite(values).all():
+            raise ConfigError("field 'initial.amplitude' = %g overflows the "
+                              "one_minus_cosine profile" % amp)
+        return StateVector(grid, values)
     if family == "sine_mode":
         return StateVector(grid, amp * np.sin(config["initial.mode"] * np.pi * x
                                               / grid.length_L))

@@ -10,14 +10,17 @@ class ParameterError(ValueError):
 
 
 class DissipativityGateFailed(RuntimeError):
-    """The discrete generator is not negative semidefinite within tolerance."""
+    """The discrete generator's symmetric part is not negative definite: the
+    Cholesky factorisation of -sym(A) fails at its leading minor ``order``."""
 
-    def __init__(self, lambda_max, tolerance):
+    def __init__(self, lambda_max, order):
         self.lambda_max = float(lambda_max)
-        self.tolerance = float(tolerance)
+        self.order = int(order)
         super().__init__(
-            "symmetric-part eigenvalue %.3e exceeds the gate tolerance %.3e"
-            % (self.lambda_max, self.tolerance)
+            "the symmetric part is not negative definite: the Cholesky factorisation "
+            "of -sym(A) fails at its leading minor of order %d "
+            "(lambda_max(sym A) = %.3e)"
+            % (self.order, self.lambda_max)
         )
 
 

@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigvals_banded
+from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.linalg import splu
 
 from .csvio import csv_writer, write_csv
@@ -28,30 +29,11 @@ from .errors import DissipativityGateFailed, GridMismatchError, ParameterError, 
 from .saturation import SaturationMap, _sat_values
 from .spaces import Grid
 
-#: gate threshold is this factor times the spectral norm of the operator;
-#: eigen-solver noise scales with ||A||.
-DISSIPATIVITY_TOLERANCE_FACTOR = 1e-8
-
 #: Rows per tile of the operator product, and the column alignment of its
 #: windows; the last tile also takes the rows left over, so no tile has
 #: fewer than ``_TILE_ROWS`` rows unless the grid has.
 _TILE_ROWS = 16
 _TILE_COLUMNS = 16
-
-
-def _band_eigenvalue(lower_diagonals) -> float:
-    """Largest eigenvalue of the symmetric matrix whose main and lower
-    diagonals are ``lower_diagonals`` (main first), by banded LAPACK on its
-    narrowest lower band form: the trailing all-zero diagonals are dropped."""
-    n = len(lower_diagonals[0])
-    width = len(lower_diagonals)
-    while width > 1 and not np.any(lower_diagonals[width - 1]):
-        width -= 1
-    band = np.zeros((width, n))
-    for k, diagonal in enumerate(lower_diagonals[:width]):
-        band[k, :n - k] = diagonal
-    return float(eigvals_banded(band, lower=True, select="i",
-                                select_range=(n - 1, n - 1))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,11 +43,12 @@ class LinearOperator:
     ``band`` holds the diagonals at offsets -p..p, p the bandwidth: 2p + 1
     of them, the one at offset k with n - |k| entries.  They are copied
     into read-only arrays, and ``bandwidth``, ``csc``, the product's tiles
-    and the spectral values read them.  ``A @ z`` (or ``A.apply(z, out)``)
-    is the operator's product.  The dense ``matrix`` is filled once, on
-    first read; no product reads it, and it is kept as the tests' oracle.
-    Tiles and spectral values are computed on first use.  Operators are
-    immutable.
+    and the band of the symmetric part, which the dissipativity gate
+    factors and ``max_symmetric_eigenvalue`` reads, are built from them.
+    ``A @ z`` (or ``A.apply(z, out)``) is the operator's product.  The
+    dense ``matrix`` is filled once, on first read; no product reads it,
+    and it is kept as the tests' oracle.  Tiles and lambda_max are
+    computed on first use.  Operators are immutable.
 
     The product is one ``np.matmul`` per group of equal dense tiles.  Rows
     go in blocks of ``_TILE_ROWS``, the last block taking what is left;
@@ -246,47 +229,44 @@ class LinearOperator:
         out.eliminate_zeros()  # zeros inside the band are not stored, as in csc_matrix(m)
         return out
 
+    def _symmetric_band(self) -> np.ndarray:
+        """The symmetric part (A + A^T) / 2 in LAPACK's lower band form, row
+        k its k-th lower diagonal, at its narrowest: the trailing all-zero
+        diagonals are dropped, so the KdV operator's goes as a tridiagonal."""
+        band, p, n = self.band, self.bandwidth, self.grid.n_interior
+        lower = [0.5 * band[p - k] + 0.5 * band[p + k] for k in range(p + 1)]
+        while len(lower) > 1 and not np.any(lower[-1]):
+            lower.pop()
+        out = np.zeros((len(lower), n))
+        for k, diagonal in enumerate(lower):
+            out[k, :n - k] = diagonal
+        return out
+
     @cached_property
     def max_symmetric_eigenvalue(self) -> float:
-        """lambda_max of the symmetric part (A + A^T) / 2: the value the
-        dissipativity gate and the decay constant read."""
-        band, p = self.band, self.bandwidth
-        return _band_eigenvalue([0.5 * band[p - k] + 0.5 * band[p + k]
-                                 for k in range(p + 1)])
-
-    @cached_property
-    def spectral_norm(self) -> float:
-        """||A||_2 = s sqrt(lambda_max((A/s)^T (A/s))) with s = max |a_ij|.
-
-        The Gram matrix has twice the bandwidth of A; the scaling keeps it
-        finite for stencil entries near the top of the double range."""
-        s = float(np.max(np.abs(self.csc.data), initial=0.0))
-        if s == 0.0:
-            return 0.0
-        scaled = self.csc / s
-        gram = (scaled.T @ scaled).tocsr()
-        width = min(2 * self.bandwidth, self.grid.n_interior - 1)
-        lam = _band_eigenvalue([gram.diagonal(-k) for k in range(width + 1)])
-        return s * math.sqrt(lam)
-
-
-def dissipativity_tolerance(op: LinearOperator) -> float:
-    return DISSIPATIVITY_TOLERANCE_FACTOR * op.spectral_norm
+        """lambda_max of the symmetric part (A + A^T) / 2, by banded LAPACK:
+        the value the decay constant reads."""
+        n = self.grid.n_interior
+        return float(eigvals_banded(self._symmetric_band(), lower=True, select="i",
+                                    select_range=(n - 1, n - 1))[0])
 
 
 def dissipativity_gate(op: LinearOperator) -> LinearOperator:
-    """``op`` itself if lambda_max(sym A) is within the gate tolerance;
-    raises DissipativityGateFailed otherwise.
-
-    The tolerance 1e-8 ||A||_2 is never negative, so lambda_max <= 0 passes
-    whatever it is; ||A||_2 is computed only when lambda_max > 0.
-    """
-    lam = op.max_symmetric_eigenvalue
-    if lam > 0.0:
-        tol = dissipativity_tolerance(op)
-        if lam > tol:
-            raise DissipativityGateFailed(lam, tol)
-    return op
+    """``op`` itself if -sym(A) has a Cholesky factor, which proves
+    lambda_max(sym A) < 0 up to the factor's backward error (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 10): LAPACK
+    ``dpbtrf`` on the band ``max_symmetric_eigenvalue`` reads, O(n p^2).
+    A refused, NaN or infinite pivot raises DissipativityGateFailed with the
+    order of the leading minor it ends and lambda_max, computed on that path
+    alone; so does lambda_max = 0."""
+    band = op._symmetric_band()
+    factor, info = dpbtrf(-band, lower=1)
+    pivots = np.isfinite(factor[0])
+    if info == 0 and pivots.all():
+        return op
+    raise DissipativityGateFailed(
+        op.max_symmetric_eigenvalue if np.isfinite(band).all() else math.nan,
+        info or 1 + int(np.argmin(pivots)))
 
 
 def build_kdv_operator(grid: Grid) -> LinearOperator:
@@ -300,7 +280,7 @@ def build_kdv_operator(grid: Grid) -> LinearOperator:
     z_{n+2} := z_n, which folds one entry onto the last diagonal element.
     The five diagonals are assembled directly as the operator's band.
 
-    The upwind part has positive-definite symmetric part and the centered
+    The upwind part has a negative-definite symmetric part and the centered
     part is antisymmetric up to the (negative-semidefinite) ghost fold, so
     the assembled operator must pass the dissipativity gate; failure means
     the stencil/grid combination lost that structure and is rejected.
@@ -544,6 +524,8 @@ def simulate(sys, z0, T: float, dt: float, on_rows=None):
     raises it after the loop, once every block has been handed out.
     Overflow and invalid-operation warnings are off in the step loop alone:
     what overflows there stays non-finite and is reported by those checks.
+    A step count T / dt whose per-step series cannot be allocated raises
+    ParameterError.
     """
     batch = isinstance(sys, (list, tuple))
     systems = list(sys) if batch else [sys]
@@ -564,19 +546,23 @@ def simulate(sys, z0, T: float, dt: float, on_rows=None):
         raise GridMismatchError("initial state and system live on different grids")
     h = grid.spacing_h
 
-    n_steps = max(1, int(math.ceil(T / dt - 1e-9)))
-    times = np.arange(n_steps + 1) * dt
+    m = len(systems)
+    try:  # OverflowError: T / dt = inf; ValueError: more entries than an index holds
+        n_steps = max(1, int(math.ceil(T / dt - 1e-9)))
+        times = np.arange(n_steps + 1) * dt
+        # per member and step: max |z| and the sums of squares of z, A z,
+        # u = sigma(B* z + d) and d, all read from the step's own blocks
+        linf = np.empty((m, n_steps + 1))
+        squares = np.empty((4, m, n_steps + 1))
+    except (MemoryError, OverflowError, ValueError):
+        raise ParameterError("T / dt = %.6g steps: their per-step series cannot be "
+                             "allocated" % (T / dt)) from None
     times[-1] = T
     times.setflags(write=False)
     stepper = _ImexStepper(systems, dt, times)
 
-    m = len(systems)
     rows = np.empty((m, min(_BLOCK_ROWS, n_steps + 1), grid.n_interior))
     magnitudes = np.empty_like(rows)
-    # per member and step: max |z| and the sums of squares of z, A z,
-    # u = sigma(B* z + d) and d, all read from the step's own blocks
-    linf = np.empty((m, n_steps + 1))
-    squares = np.empty((4, m, n_steps + 1))
 
     stepper.z[...] = np.array([z0_j.values for z0_j in z0s]).T
     state = stepper.blocks[0]  # z, one row per member

@@ -17,7 +17,7 @@ from satiss import Grid, StateVector, assemble_closed_loop, brs_check, \
     norm_l2, pointwise_linf_map, simulate, smooth_initial_data, \
     trajectory_observers, zero_disturbance
 from satiss.cli import reproduce_figure1
-from satiss.system import dissipativity_tolerance
+from satiss.system import dissipativity_gate
 
 from conftest import L
 
@@ -54,7 +54,7 @@ def test_criterion_2_dissipativity_gate_and_consistency():
     start = time.perf_counter()
     for n in (64, 128, 256):
         A = build_kdv_operator(Grid(L, n))
-        assert A.max_symmetric_eigenvalue <= dissipativity_tolerance(A)
+        assert dissipativity_gate(A) is A and A.max_symmetric_eigenvalue < 0.0
 
     xs = sympy.symbols("x")
     f = xs**4 * (L - xs) ** 4 * sympy.sin(xs)

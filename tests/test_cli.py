@@ -424,18 +424,29 @@ def test_cli_v1_constants_must_be_finite(tmp_path, capsys, level, message):
     ("0.001", "analysis.certificate = true\ncertificate.members = 4\n"
      "certificate.rho_cap = -1\n",
      "field 'certificate.rho_cap' must be non-negative or none"),
+    ("0.01", "initial.amplitude = 1e308\n",
+     "field 'initial.amplitude' = 1e+308 overflows the one_minus_cosine profile"),
+    ("1e9", "", "T / dt = 1e+12 steps: their per-step series cannot be allocated"),
+    ("1e17", "", "T / dt = 1e+20 steps: their per-step series cannot be allocated"),
+    ("1e300", "", "T / dt = 1e+303 steps: their per-step series cannot be allocated"),
 ], ids=["infinite_horizon", "negative_seed_initial", "negative_seed_certificate",
         "semiglobal_without_samples", "infinite_graph_norm", "nan_amplitude",
         "infinite_semiglobal_radius", "infinite_disturbance_amplitude",
-        "nan_disturbance_frequency", "nan_rho_cap", "negative_rho_cap"])
+        "nan_disturbance_frequency", "nan_rho_cap", "negative_rho_cap",
+        "overflowing_amplitude", "unallocatable_horizon", "horizon_past_index_range",
+        "horizon_near_double_range"])
 def test_cli_unusable_input_is_config_error(tmp_path, capsys, horizon, extra, message):
-    # neither a traceback (math.ceil, default_rng, a non-finite state) nor a
+    # neither a traceback (math.ceil, default_rng, a non-finite state, an
+    # array too large for memory or for an index) nor a warning, nor a
     # report of NaN, a divergence or a cap no run can meet
     body = MINIMAL.format(out=tmp_path / "bad_out").replace(
         "time.T = 0.001", "time.T = " + horizon) + extra
-    assert main(["run", str(write_config(tmp_path, body))]) == 2
-    assert "config error: " + message in capsys.readouterr().err
-    assert not (tmp_path / "bad_out" / "semiglobal.txt").exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(write_config(tmp_path, body))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message) and err.count("\n") == 1
+    assert not (tmp_path / "bad_out").exists()
 
 
 @pytest.mark.parametrize("extra, message", [

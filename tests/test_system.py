@@ -20,7 +20,7 @@ from satiss.cli import main
 from satiss.iss import gronwall_gap
 from satiss.saturation import hilbert_norm_map, pointwise_linf_map
 from satiss.system import _BLOCK_ROWS, LinearOperator, Trajectory, _ImexStepper, \
-    dissipativity_gate, dissipativity_tolerance
+    dissipativity_gate
 
 from conftest import L, dense_operator, simulate_states
 
@@ -64,7 +64,7 @@ def test_kdv_operator_consistency_first_order():
 
 
 def test_dissipativity_gate_passes(kdv127):
-    assert kdv127.max_symmetric_eigenvalue <= dissipativity_tolerance(kdv127)
+    assert dissipativity_gate(kdv127) is kdv127
     assert kdv127.max_symmetric_eigenvalue < 0.0
 
 
@@ -78,14 +78,13 @@ def test_max_symmetric_eigenvalue_examples(grid127, kdv127):
     skew = dense_operator(grid127, raw - raw.T)
     assert skew.max_symmetric_eigenvalue <= 1e-12
 
-    assert kdv127.max_symmetric_eigenvalue <= dissipativity_tolerance(kdv127)
+    assert kdv127.max_symmetric_eigenvalue < 0.0
 
 
 def _assert_spectra_match_dense(op):
     m = op.matrix
     sym = np.linalg.eigvalsh(0.5 * (m + m.T))
     assert op.max_symmetric_eigenvalue == pytest.approx(sym[-1], rel=1e-10)
-    assert op.spectral_norm == pytest.approx(np.linalg.norm(m, 2), rel=1e-10)
 
 
 @pytest.mark.parametrize("n", [5, 127, 1023])
@@ -102,8 +101,11 @@ def test_banded_spectra_of_full_band_operator(grid127):
     assert op.bandwidth == 126
     _assert_spectra_match_dense(op)
     zero = LinearOperator(grid127, [np.zeros(127)])
-    assert (zero.bandwidth, zero.max_symmetric_eigenvalue, zero.spectral_norm) \
-        == (0, 0.0, 0.0)
+    assert (zero.bandwidth, zero.max_symmetric_eigenvalue) == (0, 0.0)
+    # conservative, not dissipative: -sym(A) = 0 has no Cholesky factor
+    with pytest.raises(DissipativityGateFailed) as info:
+        dissipativity_gate(zero)
+    assert (info.value.lambda_max, info.value.order) == (0.0, 1)
 
 
 def test_band_csc_equals_dense_conversion(kdv127):
@@ -119,24 +121,65 @@ def test_gate_rejects_shifted_operator(grid127, kdv127):
         dissipativity_gate(shifted)
     assert info.value.lambda_max == pytest.approx(
         kdv127.max_symmetric_eigenvalue + 0.1, rel=1e-10)
-    # the failure carries the same lambda_max and tolerance as when the gate
-    # computed ||A||_2 first
-    assert (info.value.lambda_max.hex(), info.value.tolerance.hex()) \
-        == ("0x1.80127a377afbfp-4", "0x1.cc02161ec4a0cp-13")
+    assert info.value.lambda_max.hex() == "0x1.80127a377afbfp-4"
+    # the order is that of the first leading minor of -sym(A) that dense
+    # LAPACK cannot factor either
+    m = shifted.matrix
+    minus_sym, k = -0.5 * (m + m.T), info.value.order
+    np.linalg.cholesky(minus_sym[:k - 1, :k - 1])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(minus_sym[:k, :k])
 
 
-def test_gate_reads_spectral_norm_only_for_positive_lambda_max(grid127):
-    # lambda_max <= 0 passes whatever the tolerance is: ||A||_2 is not computed
-    A = build_kdv_operator(grid127)
-    assert A.max_symmetric_eigenvalue < 0.0 and "spectral_norm" not in vars(A)
-    minus_identity = dense_operator(grid127, -np.eye(127))
-    assert dissipativity_gate(minus_identity) is minus_identity
-    assert "spectral_norm" not in vars(minus_identity)
-    # 0 < lambda_max <= 1e-8 ||A||_2 passes, after computing the tolerance
-    eps = 1e-4 - A.max_symmetric_eigenvalue
-    barely = dense_operator(grid127, A.matrix + eps * np.eye(127))
-    assert 0.0 < barely.max_symmetric_eigenvalue <= dissipativity_tolerance(barely)
-    assert dissipativity_gate(barely) is barely
+def _shifted_kdv(A, scale, eps):
+    """The operator scale A + eps I, from A's band."""
+    band = [scale * d for d in A.band]
+    band[A.bandwidth] = band[A.bandwidth] + eps
+    return LinearOperator(A.grid, band)
+
+
+@pytest.mark.parametrize("n, top", [(127, None), (2047, None), (127, 1e306)],
+                         ids=["n127", "n2047", "entries_1e306"])
+def test_gate_is_sharp_at_lambda_max(n, top):
+    # A + eps I is dissipative exactly for eps < |lambda_max(sym A)|: the
+    # gate passes it 1 % below that shift and refuses it 1 % above, also
+    # with entries near the top of the double range
+    kdv = build_kdv_operator(Grid(L, n))
+    scale = 1.0 if top is None else top / max(np.max(np.abs(d)) for d in kdv.band)
+    A = _shifted_kdv(kdv, scale, 0.0)
+    lam = A.max_symmetric_eigenvalue
+    assert lam < 0.0 and dissipativity_gate(A) is A
+    below = _shifted_kdv(kdv, scale, -0.99 * lam)
+    assert dissipativity_gate(below) is below
+    above = _shifted_kdv(kdv, scale, -1.01 * lam)
+    with pytest.raises(DissipativityGateFailed) as info:
+        dissipativity_gate(above)
+    assert info.value.lambda_max == pytest.approx(0.01 * -lam, rel=1e-3)
+
+
+def test_gate_refuses_a_band_with_nan(kdv127):
+    band = list(kdv127.band)
+    band[1] = np.where(np.arange(126) == 60, math.nan, band[1])
+    with pytest.raises(DissipativityGateFailed) as info:
+        dissipativity_gate(LinearOperator(kdv127.grid, band))
+    assert math.isnan(info.value.lambda_max) and info.value.order == 62
+
+
+@pytest.mark.parametrize("n, measured", [(127, -6.2324e-3), (2047, -3.8387e-4)])
+def test_gate_margin_closed_form(n, measured):
+    # sym(A) = (c1/2) tridiag(1, -2, 1) - c3 e_n e_n^T + E: its second
+    # diagonal is 0.5 c3 + 0.5 (-c3) = 0 exactly, and E is the rounding of
+    # its first, 0.5 (c1 - 2 c3) + c3 against c1 / 2.  By Weyl,
+    # lambda_max(sym A) <= -2 c1 sin^2(pi / (2 (n + 1))) + ||E||_2, and
+    # ||E||_2 <= 2 max |e| for the symmetric tridiagonal E of off-diagonal e
+    A = build_kdv_operator(Grid(L, n))
+    c1, p = 1.0 / A.grid.spacing_h, A.bandwidth
+    assert not np.any(0.5 * A.band[p - 2] + 0.5 * A.band[p + 2])
+    e = 0.5 * A.band[p - 1] + 0.5 * A.band[p + 1] - 0.5 * c1
+    bound = -2.0 * c1 * math.sin(math.pi / (2 * (n + 1))) ** 2 + 2.0 * np.max(np.abs(e))
+    lam = A.max_symmetric_eigenvalue
+    assert lam <= bound < 0.0
+    assert lam == pytest.approx(measured, rel=1e-4)
 
 
 #: float.hex of (lambda_max(sym op), C = -2 lambda_max) for op = A and A - I,
@@ -232,15 +275,6 @@ def test_band_operator_validation_and_immutability(grid127, kdv127):
     assert op.band[1][0] == -1.0 and not op.band[1].flags.writeable
     with pytest.raises(AttributeError):
         kdv127.grid = Grid(L, 64)
-
-
-def test_gate_tolerance_finite_for_huge_entries(grid127, kdv127):
-    # stencil entries near 1e306: an unscaled Gram matrix would overflow
-    m = kdv127.matrix
-    A = dense_operator(grid127, m * (1e306 / np.max(np.abs(m))))
-    expected = 1e-8 * np.linalg.norm(A.matrix, 2)
-    assert math.isfinite(dissipativity_tolerance(A))
-    assert dissipativity_tolerance(A) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("length", [1e300, 1e-110])
