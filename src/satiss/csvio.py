@@ -16,11 +16,13 @@ hi + lo table of 10^p in place of its 128-bit multiply:
    product shows that the guess was off;
 2. the significand D = round(|x| 10^(16 - k)), 10^16 <= D < 10^17, is the
    product's integer part plus its rounded remainder; a carry to 10^17 is
-   10^16 at exponent k + 1.  D's base-100 digit pairs give its 17 digits,
-   and its trailing zeros give the number that is printed;
-3. the layout, fixed or exponent form as ``%g`` picks it from k, is laid
-   out for all values of one k at once with slice copies; then each value
-   is cut to its length.
+   10^16 at exponent k + 1.  D's 17 digits are read from a table of
+   4-digit ASCII words, which spells the zeros after D's last nonzero
+   digit as NUL;
+3. each value's printed bytes are written into a NUL-filled row of 25
+   (sign, body, separator), in fixed or exponent form as ``%g`` picks it
+   from k, with slice copies for all values of one k at once; the rows go
+   back to block order in one scatter, and the NUL bytes are dropped.
 
 The product is within 1e-13 of the exact value, in units of the last
 digit.  What it cannot
@@ -54,15 +56,7 @@ _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter
 _K_OFFSET = 400
 _ZERO, _NAN, _INF, _EXACT = 1000, 1001, 1002, 1003
 
-_PLACES = np.arange(1, 18, dtype=np.uint8)[:, None]  # digit j is the (j + 1)-th
 _ROW = np.dtype((np.void, 25))  # a value's bytes: sign, 23 of body, separator
-# the bytes of a row that are kept, per (negative, body length, exponent
-# length 0, 4 or 5); a row's exponent sits in bytes 19..23
-_KEEP = np.zeros((2, 24, 3, 25), bool)
-_KEEP[1, :, :, 0] = True
-_KEEP[:, :, :, 1:24] = np.arange(23) < np.arange(24)[:, None, None]
-_KEEP[:, :, 1, 19:23] = _KEEP[:, :, 2, 19:24] = _KEEP[:, :, :, 24] = True
-_KEEP = _KEEP.reshape(-1, 25).view(_ROW).ravel()
 
 
 @cache
@@ -126,68 +120,36 @@ def _decimal(x):
     return code, sig
 
 
+@cache
+def _word_table():
+    """The 4-digit ASCII words as rows of 4 bytes: row i spells
+    ``b"%04d" % i`` and row 10000 + i the same word with its trailing zeros
+    NUL.  Built on first use, read-only."""
+    places = np.array([10 ** 4, 10 ** 3, 100, 10], np.int16)
+    tails = np.arange(10 ** 4, dtype=np.int16)[:, None] % places  # from digit j on
+    digits = tails // (places // 10) + 48
+    table = np.concatenate([digits, digits * (tails != 0)]).astype(np.uint8)
+    table.setflags(write=False)
+    return table
+
+
 def _digits(sig):
-    """The 17 digits of each significand as ASCII, one column per value, and
-    the number of them up to the last nonzero one."""
-    n = sig.size
-    top = sig // 10 ** 8
-    lead = top // 10 ** 8
-    quads = np.empty((4, n), np.uint16)  # digits 1-4, 5-8, 9-12, 13-16
-    for i, eight in enumerate((top - lead * 10 ** 8, sig - top * 10 ** 8)):
-        high = eight // 10 ** 4
-        quads[2 * i] = high
-        quads[2 * i + 1] = eight - high * 10 ** 4
-    digits = np.empty((17, n), np.uint8)
-    digits[0] = lead + 48
-    pairs = quads // 100
-    quads -= pairs * 100
-    for j, pair in ((1, pairs), (3, quads)):
-        tens = pair // 10
-        digits[j::4] = tens + 48
-        digits[j + 1::4] = pair - tens * 10 + 48
-    return digits, ((digits != 48) * _PLACES).max(axis=0).astype(np.intp)
-
-
-def _layout(x, order, codes, digits, length):
-    """The bytes of the values x[order] of layout codes ``codes``, one column
-    of 25 per value (byte 0 the sign, 1..23 the body, 24 left for the
-    separator), and the row of _KEEP that each would take with a + sign."""
-    n = x.size
-    buf = np.empty((25, n), np.uint8)
-    buf[0] = 45
-    shape = np.empty(n, np.intp)
-    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-    for start, end in zip(starts, np.r_[starts[1:], n]):
-        c = int(codes[start])
-        e = c - _K_OFFSET
-        out, dig, size = buf[:, start:end], digits[:, start:end], length[start:end]
-        if c == _EXACT:
-            for i in range(start, end):
-                text = b"%.17g" % abs(x[order[i]])
-                buf[1:1 + len(text), i] = np.frombuffer(text, np.uint8)
-                shape[i] = 3 * len(text)
-        elif c >= _ZERO:
-            text = {_ZERO: b"0", _NAN: b"nan", _INF: b"inf"}[c]
-            out[1:1 + len(text)] = np.frombuffer(text, np.uint8)[:, None]
-            shape[start:end] = 3 * len(text)
-        elif -4 <= e < 0:
-            out[1:2 - e] = 48
-            out[2] = 46
-            out[2 - e:19 - e] = dig
-            shape[start:end] = 3 * (size + 1 - e)
-        elif 0 <= e <= 16:
-            out[1:e + 2] = dig[:e + 1]
-            out[e + 2] = 46
-            out[e + 3:19] = dig[e + 1:]
-            shape[start:end] = 3 * np.where(size > e + 1, size + 1, e + 1)
-        else:
-            tail = b"e%+03d" % e
-            out[1] = dig[0]
-            out[2] = 46
-            out[3:19] = dig[1:]
-            out[19:19 + len(tail)] = np.frombuffer(tail, np.uint8)[:, None]
-            shape[start:end] = 3 * (size + (size > 1)) + len(tail) - 3
-    return buf, shape
+    """The 17 digits of each significand as ASCII, one row per value, with
+    the zeros after its last nonzero digit NUL."""
+    lead = sig // _E16
+    rest = sig - lead * _E16
+    top = rest // 10 ** 8
+    low = rest - top * 10 ** 8
+    q1 = top // 10 ** 4
+    q2 = top - q1 * 10 ** 4
+    q3 = low // 10 ** 4
+    q4 = low - q3 * 10 ** 4
+    # words "000d" and digits 2-5, ..., 14-17; a word with only zeros after
+    # it is spelled with its trailing zeros NUL
+    words = np.stack([lead, q1 + 10 ** 4 * ((q2 == 0) & (low == 0)),
+                      q2 + 10 ** 4 * (low == 0), q3 + 10 ** 4 * (q4 == 0),
+                      q4 + 10 ** 4], axis=1)
+    return _word_table().take(words, axis=0).reshape(-1, 20)[:, 3:]
 
 
 def format_block(block) -> bytes:
@@ -199,15 +161,43 @@ def format_block(block) -> bytes:
     n = x.size
     code, sig = _decimal(x)
     order = np.argsort(code, kind="stable")
-    buf, shape = _layout(x, order, code[order], *_digits(sig[order]))
+    code = code[order]
+    digits = _digits(sig[order])
+    buf = np.zeros((n, 25), np.uint8)  # the bytes of x[order]; NUL is not printed
+    starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+    for start, end in zip(starts, np.r_[starts[1:], n]):
+        c = int(code[start])
+        e = c - _K_OFFSET
+        part, dig = buf[start:end], digits[start:end]
+        if c == _EXACT:
+            for i in range(start, end):
+                text = b"%.17g" % abs(x[order[i]])
+                buf[i, 1:1 + len(text)] = np.frombuffer(text, np.uint8)
+        elif c >= _ZERO:
+            text = {_ZERO: b"0", _NAN: b"nan", _INF: b"inf"}[c]
+            part[:, 1:1 + len(text)] = np.frombuffer(text, np.uint8)
+        elif -4 <= e < 0:
+            part[:, 1:2 - e] = 48
+            part[:, 2] = 46
+            part[:, 2 - e:19 - e] = dig
+        elif 0 <= e <= 16:
+            # the integer part keeps its zeros; a point only before a digit
+            part[:, 1:e + 2] = np.maximum(dig[:, :e + 1], 48)
+            if e < 16:
+                part[:, e + 2] = (dig[:, e + 1] != 0) * 46
+                part[:, e + 3:19] = dig[:, e + 1:]
+        else:
+            tail = b"e%+03d" % e
+            part[:, 1] = dig[:, 0]
+            part[:, 2] = (dig[:, 1] != 0) * 46
+            part[:, 3:19] = dig[:, 1:]
+            part[:, 19:19 + len(tail)] = np.frombuffer(tail, np.uint8)
     out = np.empty(n, _ROW)
-    out[order] = np.ascontiguousarray(buf.T).view(_ROW).ravel()
+    out[order] = buf.view(_ROW).ravel()
     out = out.view(np.uint8).reshape(n, 25)
+    out[:, 0] = (np.signbit(x) & ~np.isnan(x)) * 45
     out[:, 24] = np.tile(np.r_[np.full(cols - 1, 44, np.uint8), 10], rows)
-    keep = np.empty(n, np.intp)
-    keep[order] = shape
-    keep += (np.signbit(x) & ~np.isnan(x)) * 72
-    return out[_KEEP.take(keep).view(bool).reshape(n, 25)].tobytes()
+    return out.tobytes().translate(None, b"\0")
 
 
 @contextmanager

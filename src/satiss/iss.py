@@ -60,7 +60,6 @@ class GapReport:
     gap: np.ndarray
     plain_bound: np.ndarray           # sqrt(k/2 * int_0^t ||d||^2), no exponential
     conservative_bound: np.ndarray    # exponential kept inside the convolution
-    plain_bound_violations: int
     conservative_violations: int
 
     def write_csv(self, path):
@@ -110,7 +109,6 @@ class GapSums:
         return GapReport(
             times=times, gap=gap, plain_bound=plain_bound,
             conservative_bound=conservative,
-            plain_bound_violations=_bound_violations(gap, plain_bound),
             conservative_violations=_bound_violations(gap, conservative),
         )
 

@@ -59,8 +59,9 @@ class SaturationMap:
         if not 0 < self.level < math.inf:
             raise ParameterError("saturation level must be positive and finite, "
                                  "got %r" % (self.level,))
-        if self.lipschitz_k < 1:
-            raise ParameterError("Lipschitz constant must be >= 1")
+        if not 1 <= self.lipschitz_k < math.inf:
+            raise ParameterError("Lipschitz constant must be >= 1 and finite, "
+                                 "got %r" % (self.lipschitz_k,))
         if not 0 < self.item5_C0 < math.inf:
             raise ParameterError("shift-bound constant C0 must be positive and finite, "
                                  "got %r" % (self.item5_C0,))

@@ -148,6 +148,20 @@ def test_pow10_table_is_built_once_from_exact_integers():
         assert hi == float(exact) and lo == float(exact - Fraction(hi))
 
 
+def test_word_table_is_built_once_from_the_words_it_spells():
+    csvio._word_table.cache_clear()
+    assert csvio._word_table.cache_info().currsize == 0
+    table = csvio._word_table()
+    assert table is csvio._word_table() and not table.flags.writeable
+    assert csvio._word_table.cache_info().misses == 1
+    assert table.shape == (2 * 10 ** 4, 4) and table.dtype == np.uint8
+    for i in range(10 ** 4):
+        word = b"%04d" % i
+        assert table[i].tobytes() == word
+        kept = bytes(c if word[j:].strip(b"0") else 0 for j, c in enumerate(word))
+        assert table[10 ** 4 + i].tobytes() == kept
+
+
 @pytest.mark.parametrize("value, text", [
     *((x, "%.17g" % x) for x in (-0.0, math.nan, -math.inf, 5e-324, 0.1, 1.0)),
     (True, "true"), (False, "false"), (None, "none"), ([], ""),

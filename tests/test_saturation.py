@@ -84,6 +84,14 @@ def test_saturation_map_validation():
         hilbert_norm_map(1e308)  # C0 = 3 level overflows
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf])
+def test_saturation_map_rejects_non_finite_lipschitz(k):
+    # nan < 1 is False, so a lower bound alone lets a NaN through, and the
+    # gap's conservative bound would read all NaN with no violation counted
+    with pytest.raises(ParameterError, match="Lipschitz constant .* got %r" % k):
+        SaturationMap(SaturationKind.POINTWISE_LINF, lipschitz_k=k)
+
+
 def test_check_axioms_rejects_bad_arguments():
     g = Grid(L, 16)
     sigma = hilbert_norm_map(1.0)
