@@ -5,9 +5,9 @@ import math
 
 import numpy as np
 
-from satiss import Grid, StateVector, assemble_closed_loop, build_kdv_operator, \
-    hilbert_norm_map, linear_loop_operator, measure_decay_constant, \
-    pointwise_linf_map, simulate, zero_disturbance
+from satiss import DisturbanceSignal, Grid, SaturatedSystem, StateVector, \
+    build_kdv_operator, hilbert_norm_map, linear_loop_operator, \
+    measure_decay_constant, pointwise_linf_map, simulate
 
 L = 2 * math.pi
 grid = Grid(L, 127)
@@ -24,11 +24,11 @@ z0 = StateVector(grid, 1.0 - np.cos(x))
 T, dt = 9.0, 1e-3
 
 loops = {
-    "linear feedback": assemble_closed_loop(A, None, zero_disturbance()),
-    "pointwise clamp": assemble_closed_loop(A, pointwise_linf_map(1.0, L),
-                                            zero_disturbance()),
-    "Hilbert-ball retraction": assemble_closed_loop(A, hilbert_norm_map(1.0),
-                                                    zero_disturbance()),
+    "linear feedback": SaturatedSystem(A, None, DisturbanceSignal()),
+    "pointwise clamp": SaturatedSystem(A, pointwise_linf_map(1.0, L),
+                                       DisturbanceSignal()),
+    "Hilbert-ball retraction": SaturatedSystem(A, hilbert_norm_map(1.0),
+                                               DisturbanceSignal()),
 }
 
 print("\ndecay of ||z(t)|| from z0 = 1 - cos(x) (||z0|| = %.3f):"

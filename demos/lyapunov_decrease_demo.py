@@ -14,11 +14,11 @@ import math
 
 import numpy as np
 
-from satiss import Grid, StateVector, assemble_closed_loop, build_kdv_operator, \
-    case1_params, case2_params, cosine_disturbance, dissipation_report, \
+from satiss import DisturbanceSignal, Grid, SaturatedSystem, StateVector, \
+    build_kdv_operator, case1_params, case2_params, dissipation_report, \
     estimate_embedding_constant, hilbert_norm_map, linear_loop_operator, \
     measure_decay_constant, pointwise_linf_map, simulate, smooth_initial_data, \
-    trajectory_observers, zero_disturbance
+    trajectory_observers
 
 L = 2 * math.pi
 grid = Grid(L, 127)
@@ -34,7 +34,7 @@ print("regime 1: M=%g eps1=%.4f eps2=%.4f -> alpha=%.4f rho=%.1f"
 
 x = grid.interior_nodes()
 z0 = StateVector(grid, 1.0 - np.cos(x))
-loop = assemble_closed_loop(A, sigma, cosine_disturbance(0.05, 1.0))
+loop = SaturatedSystem(A, sigma, DisturbanceSignal(0.05, 1.0))
 traj = simulate(loop, z0, 9.0, 1e-3)
 traj.observables.update((name, series(traj)) for name, series
                         in trajectory_observers(params).items())
@@ -47,7 +47,7 @@ print("per-step record in demo_out_dissipation_v1.csv")
 # regime 2: pointwise clamp, undisturbed, radius sweep
 c_s = estimate_embedding_constant(grid, n_samples=300, rng_seed=11)
 print("\nregime 2: sup-norm embedding constant estimate c_S = %.4f" % c_s)
-loop = assemble_closed_loop(A, pointwise_linf_map(1.0, L), zero_disturbance())
+loop = SaturatedSystem(A, pointwise_linf_map(1.0, L), DisturbanceSignal())
 rng = np.random.default_rng(4)
 for r in (1.0, 4.0):
     p2 = case2_params(C, c_s, r)

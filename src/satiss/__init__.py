@@ -9,8 +9,7 @@ from .spaces import Grid, StateVector, boundary_envelope, inner_l2, norm_graph, 
 from .saturation import AxiomReport, SaturationKind, SaturationMap, check_axioms, \
     hilbert_norm_map, pointwise_linf_map
 from .system import DisturbanceSignal, LinearOperator, SaturatedSystem, \
-    Trajectory, assemble_closed_loop, build_kdv_operator, cosine_disturbance, \
-    linear_loop_operator, simulate, zero_disturbance
+    Trajectory, build_kdv_operator, linear_loop_operator, simulate
 from .lyapunov import DissipationReport, LyapunovParams, case1_params, \
     case2_params, dissipation_report, estimate_embedding_constant, \
     measure_decay_constant, trajectory_observers

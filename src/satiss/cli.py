@@ -39,8 +39,8 @@ from .errors import CertificationError, ConfigError, DissipativityGateFailed, \
 from .saturation import _check_sweep, check_axioms, hilbert_norm_map, \
     pointwise_linf_map
 from .spaces import Grid, StateVector, norm_graph
-from .system import Trajectory, assemble_closed_loop, build_kdv_operator, \
-    cosine_disturbance, linear_loop_operator, simulate, zero_disturbance
+from .system import DisturbanceSignal, SaturatedSystem, Trajectory, \
+    build_kdv_operator, linear_loop_operator, simulate
 
 OUTPUT_ROOT_ENV = "SATISS_OUTPUT_ROOT"
 
@@ -101,7 +101,7 @@ _SCHEMA = {
     "analysis.axioms_samples": (int, 10000, _at_least(1, "must be >= 1")),
     "analysis.dissipation": (str, "off", _one_of("off", "v", "v1", "v2")),
     "analysis.gap": (_parse_bool, False, None),
-    "analysis.semiglobal_r": (_parse_float_list, [], None),
+    "analysis.semiglobal_r": (_parse_float_list, [], _POSITIVE),
     "analysis.semiglobal_samples": (int, 5, _at_least(1, "must be >= 1")),
     "analysis.certificate": (_parse_bool, False, None),
     "certificate.members": (int, 20, _at_least(1, "must be >= 1")),
@@ -137,7 +137,7 @@ def parse_config(path) -> dict:
 
 def parse_config_text(text: str) -> dict:
     """The validated config: every ``_SCHEMA`` key with its parsed value."""
-    entries = {}
+    entries, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -147,6 +147,10 @@ def parse_config_text(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA:
             raise ConfigError("line %d: unknown field %r" % (lineno, key))
+        if key in set_on:
+            raise ConfigError("line %d: field %r is already set on line %d"
+                              % (lineno, key, set_on[key]))
+        set_on[key] = lineno
         parser = _SCHEMA[key][0]
         try:
             entries[key] = parser(value)
@@ -205,9 +209,9 @@ def _saturation_map(config):
 
 def _disturbance(config):
     if config["disturbance.kind"] == "zero" or config["disturbance.amplitude"] == 0.0:
-        return zero_disturbance()
-    return cosine_disturbance(config["disturbance.amplitude"],
-                              config["disturbance.frequency"])
+        return DisturbanceSignal()
+    return DisturbanceSignal(config["disturbance.amplitude"],
+                             config["disturbance.frequency"])
 
 
 def _initial_state(config, grid, A):
@@ -235,7 +239,7 @@ def _closed_loop(config):
     saturation map and disturbance."""
     grid = Grid(config["domain.L"], config["domain.n_interior"])
     A = build_kdv_operator(grid)
-    return grid, A, assemble_closed_loop(A, _saturation_map(config), _disturbance(config))
+    return grid, A, SaturatedSystem(A, _saturation_map(config), _disturbance(config))
 
 
 @contextmanager
@@ -324,7 +328,7 @@ def run_experiment(config: dict, output_dir=None):
             if config["analysis.gap"]:
                 # the main run is member 0 of the gap's batch
                 gap = iss_mod.GapSums(sink)
-                pair = simulate([sys_loop, replace(sys_loop, d=zero_disturbance())],
+                pair = simulate([sys_loop, replace(sys_loop, d=DisturbanceSignal())],
                                 [z0, z0], T, dt, on_rows=gap)
                 traj = pair.member(0)
             else:
@@ -356,7 +360,7 @@ def run_experiment(config: dict, output_dir=None):
 
         r_list = config["analysis.semiglobal_r"]
         if r_list:
-            fit = iss_mod.fit_semiglobal(replace(sys_loop, d=zero_disturbance()),
+            fit = iss_mod.fit_semiglobal(replace(sys_loop, d=DisturbanceSignal()),
                                          r_list, config["analysis.semiglobal_samples"],
                                          T, dt, seed)
             _write_text(outdir, files, "semiglobal.txt", kv_text(
@@ -406,10 +410,8 @@ def _run_certificate(config, sys_loop, grid, A, T, dt):
         rng = np.random.default_rng((seed, 77, i))
         z0s.append(iss_mod.smooth_initial_data(grid, A, amp_targets[i], rng))
         amp = d_amps[i % len(d_amps)]
-        if amp == 0.0:
-            ds.append(zero_disturbance())
-        else:
-            ds.append(cosine_disturbance(amp, d_freqs[i % len(d_freqs)]))
+        ds.append(DisturbanceSignal(amp, d_freqs[i % len(d_freqs)]) if amp
+                  else DisturbanceSignal())
     return iss_mod.iss_certificate(sys_loop, z0s, ds, T, dt,
                                    rho_cap=config["certificate.rho_cap"])
 
@@ -436,8 +438,8 @@ def reproduce_figure1(output_dir):
         z0 = StateVector(grid, 1.0 - np.cos(grid.interior_nodes()))
         sigma = pointwise_linf_map(1.0, L)
 
-        runs = [assemble_closed_loop(A, sigma, cosine_disturbance(0.05, 1.0)),
-                assemble_closed_loop(A, None, zero_disturbance())]
+        runs = [SaturatedSystem(A, sigma, DisturbanceSignal(0.05, 1.0)),
+                SaturatedSystem(A, None)]
         with Trajectory.write_states_csv(_listed(outdir, files, "figure1_states.csv"),
                                          grid) as sink:
             both = simulate(runs, [z0, z0], FIGURE1_T, FIGURE1_DT,

@@ -9,8 +9,8 @@ and read its (members, steps + 1) series whole, as array expressions:
   integration.  Two bounds are evaluated: the integral bound
   sqrt(k/2 * int ||d||^2) with the exponential factor dropped, and the
   conservative one that keeps exp(3/2 k ||B*||^2 (t - s)) inside the
-  convolution.  Only the conservative bound is expected to hold;
-  violations of the other are counted and reported.
+  convolution.  Only the conservative bound is expected to hold, and its
+  violations are counted.
 * ``fit_semiglobal`` fits radius-dependent decay envelopes K(r) e^{-mu(r) t}
   over ensembles of smooth initial data with graph norm at most r.
 * ``globalize`` composes a radius-r envelope with the unit-radius one at
@@ -32,7 +32,7 @@ import numpy as np
 from .csvio import kv_text, write_csv
 from .errors import CertificationError, ParameterError
 from .spaces import Grid, StateVector, norm_graph, random_smooth_values
-from .system import SaturatedSystem, Trajectory, simulate, zero_disturbance
+from .system import DisturbanceSignal, SaturatedSystem, Trajectory, simulate
 
 
 def smooth_initial_data(grid: Grid, A, target_graph_norm: float, rng) -> StateVector:
@@ -96,12 +96,13 @@ class GapSums:
         dsq = pair.observables["norm_d"][0] ** 2
         times = pair.times
         n = len(times)
-        plain = np.zeros(n)
+        # int_0^t ||d||^2 by the trapezoid rule; cumsum adds in order, as a loop
+        plain = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(times)
+                                                 * (dsq[:-1] + dsq[1:]))))
         convolved = np.zeros(n)
         a = 1.5 * k  # 1.5 k ||B||^2 with B the identity
         for i in range(1, n):
             step = times[i] - times[i - 1]
-            plain[i] = plain[i - 1] + 0.5 * step * (dsq[i - 1] + dsq[i])
             grow = math.exp(a * step)
             convolved[i] = grow * convolved[i - 1] + 0.5 * step * (grow * dsq[i - 1] + dsq[i])
         plain_bound = np.sqrt(0.5 * k * plain)
@@ -117,7 +118,7 @@ def gronwall_gap(sys: SaturatedSystem, z0: StateVector, d, T: float, dt: float) 
     """Simulate the loop disturbed by ``d`` and its undisturbed twin from
     the same z0, as one batch, and bound the gap z~ = z^d - z per step."""
     sums = GapSums()
-    pair = simulate([replace(sys, d=d), replace(sys, d=zero_disturbance())],
+    pair = simulate([replace(sys, d=d), replace(sys, d=DisturbanceSignal())],
                     [z0, z0], T, dt, on_rows=sums)
     return sums.report(pair, sys.feedback_lipschitz)
 

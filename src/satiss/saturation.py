@@ -231,16 +231,6 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(den), where=keep)[keep]
 
 
-def _running_max(current: float, values: np.ndarray) -> float:
-    """max(current, v) folded over ``values`` in order: the first maximal
-    entry wins ties, as in a per-sample loop."""
-    if values.size:
-        best = values[np.argmax(values)]
-        if best > current:
-            return float(best)
-    return current
-
-
 def _shift_ratios(kind: SaturationKind, s: np.ndarray, pert: np.ndarray,
                   sig_s: np.ndarray, level: float, h: float) -> np.ndarray:
     """<s, sigma(s + s~) - sigma(s)> / ||s~|| for each column with s~ != 0."""
@@ -295,13 +285,14 @@ def check_axioms(sigma: SaturationMap, grid: Grid, n_samples: int,
         bound_violations += int(np.count_nonzero(_s_norm(kind, sig_s, h) > level))
         monotonicity_violations += int(np.count_nonzero(
             h * np.vecdot(d_sig, d, axis=0) < -1e-12))
-        lipschitz_estimate = _running_max(
-            lipschitz_estimate, _ratios(_column_norms(d_sig, h), _column_norms(d, h)))
+        # max keeps the running value on a tie and on NaN
+        lipschitz_estimate = max(lipschitz_estimate, _ratios(
+            _column_norms(d_sig, h), _column_norms(d, h)).max(initial=-math.inf))
         residual = _sprime_norm(kind, sig_s - s, h) \
             - h * np.vecdot(sig_s, s, axis=0) / level
-        item4_max_residual = _running_max(item4_max_residual, residual)
-        item5_estimate = _running_max(
-            item5_estimate, _shift_ratios(kind, s, pert, sig_s, level, h))
+        item4_max_residual = max(item4_max_residual, residual.max(initial=-math.inf))
+        item5_estimate = max(item5_estimate, _shift_ratios(
+            kind, s, pert, sig_s, level, h).max(initial=-math.inf))
     return AxiomReport(
         bound_violations=bound_violations,
         monotonicity_violations=monotonicity_violations,

@@ -45,10 +45,10 @@ class LinearOperator:
     into read-only arrays, and ``bandwidth``, ``csc``, the product's tiles
     and the band of the symmetric part, which the dissipativity gate
     factors and ``max_symmetric_eigenvalue`` reads, are built from them.
-    ``A @ z`` (or ``A.apply(z, out)``) is the operator's product.  The
-    dense ``matrix`` is filled once, on first read; no product reads it,
-    and it is kept as the tests' oracle.  Tiles and lambda_max are
-    computed on first use.  Operators are immutable.
+    ``A @ z`` is the operator's product, for a state or a block.  The dense
+    ``matrix`` is filled once, on first read; no product reads it, and it
+    is kept as the tests' oracle.  Tiles and lambda_max are computed on
+    first use.  Operators are immutable.
 
     The product is one ``np.matmul`` per group of equal dense tiles.  Rows
     go in blocks of ``_TILE_ROWS``, the last block taking what is left;
@@ -62,8 +62,8 @@ class LinearOperator:
     group's ``np.matmul`` multiplies each window of each state by its tile
     as one gemv, so column j of a block is the product of its state j bit
     for bit, for every m.  ``A.product(z, out)`` builds the views of one
-    pair of buffers once; ``A @ z`` builds them on each call for a block,
-    and copies a state through one such pair.
+    pair of buffers once; ``A @ z`` runs it on a new pair for a block, and
+    copies a state through one pair kept for states.
 
     Measured with OpenBLAS 0.3.31 on one random state per n, not
     guaranteed.  The build targets Haswell; on the host measured it picked
@@ -92,19 +92,15 @@ class LinearOperator:
             d.setflags(write=False)
         object.__setattr__(self, "band", band)
 
-    def apply(self, z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """A z for a state (n,) or a column-major block (n, m), one state per
-        column, written into ``out`` if given, which must be a state or a
-        column-major block of z's shape.  A state is copied through the
-        buffers of ``_state_product``, whose views are built once; a block's
-        views are built on each call."""
+    def __matmul__(self, z: np.ndarray) -> np.ndarray:
+        """A z for a state (n,) or a block (n, m), one state per column,
+        as a new column-major array.  A state is copied through the buffers
+        of ``_state_product``, whose views are built once; a block's views
+        are built on each call."""
         if z.shape[0] != self.grid.n_interior:
             raise GridMismatchError("a product of %d rows cannot take %d values per "
                                     "state" % (self.grid.n_interior, z.shape[0]))
-        if out is None:
-            out = np.empty(z.shape, order="F")
-        elif out.shape != z.shape:
-            raise GridMismatchError("out has shape %r, z %r" % (out.shape, z.shape))
+        out = np.empty(z.shape, order="F")
         if z.ndim == 1:
             state, image, product, lock = self._state_product
             with lock:
@@ -112,12 +108,8 @@ class LinearOperator:
                 product()
                 out[...] = image[:, 0]
             return out
-        for windows, tiles, rows in self._views(np.ascontiguousarray(z.T, dtype=float),
-                                                out.T):
-            np.matmul(windows, tiles, out=rows)
+        self.product(np.asfortranarray(z, dtype=float), out)()
         return out
-
-    __matmul__ = apply
 
     @cached_property
     def _state_product(self) -> tuple:
@@ -331,33 +323,19 @@ class DisturbanceSignal:
     frequency: float = 0.0
 
 
-def zero_disturbance() -> DisturbanceSignal:
-    return DisturbanceSignal()
-
-
-def cosine_disturbance(amplitude: float, frequency: float = 1.0) -> DisturbanceSignal:
-    return DisturbanceSignal(amplitude=amplitude, frequency=frequency)
-
-
 @dataclass(frozen=True, eq=False)
 class SaturatedSystem:
     """Closed loop dz/dt = A z - B sigma(B* z + d); sigma = None means the
-    unsaturated linear feedback u = -(B* z + d)."""
+    unsaturated linear feedback u = -(B* z + d), and d defaults to the zero
+    disturbance ``DisturbanceSignal()``."""
 
     A: LinearOperator
     sigma: SaturationMap = None
-    d: DisturbanceSignal = field(default_factory=zero_disturbance)
+    d: DisturbanceSignal = field(default_factory=DisturbanceSignal)
 
     @property
     def feedback_lipschitz(self) -> float:
         return self.sigma.lipschitz_k if self.sigma is not None else 1.0
-
-
-def assemble_closed_loop(A: LinearOperator, sigma: SaturationMap,
-                         d: DisturbanceSignal = None) -> SaturatedSystem:
-    if d is None:
-        d = zero_disturbance()
-    return SaturatedSystem(A=A, sigma=sigma, d=d)
 
 
 def _half_step(A, k, dt):
@@ -492,8 +470,8 @@ class Trajectory:
         return csv_writer(path, ["t"] + ["z%d" % j for j in range(1, grid.n_interior + 1)])
 
 
-#: Steps per block of recorded state rows.  A run holds two (m, 32, n)
-#: blocks, the rows and their magnitudes, whatever its number of steps.
+#: Steps per block of recorded state rows.  A run holds one (m, 32, n)
+#: block of rows, whatever its number of steps.
 _BLOCK_ROWS = 32
 
 
@@ -516,9 +494,10 @@ def simulate(sys, z0, T: float, dt: float, on_rows=None):
 
     No state history is kept.  The states go into one reused block of
     ``_BLOCK_ROWS`` rows per member; when it is full, and at the last
-    step, their max |z| is recorded and checked, and the rows are handed to
-    ``on_rows(times, rows)`` if given: ``times`` (k,) and ``rows`` (k, n)
-    for one system, (m, k, n) for a list, both valid only during the call.
+    step, their max |z|, read as the larger of max z and -min z, is
+    recorded and checked, and the rows are handed to ``on_rows(times,
+    rows)`` if given: ``times`` (k,) and ``rows`` (k, n) for one system,
+    (m, k, n) for a list, both valid only during the call.
     A non-finite state raises SimulationDiverged, naming its first step and
     member, before its block is handed out; a non-finite recorded norm
     raises it after the loop, once every block has been handed out.
@@ -562,7 +541,6 @@ def simulate(sys, z0, T: float, dt: float, on_rows=None):
     stepper = _ImexStepper(systems, dt, times)
 
     rows = np.empty((m, min(_BLOCK_ROWS, n_steps + 1), grid.n_interior))
-    magnitudes = np.empty_like(rows)
 
     stepper.z[...] = np.array([z0_j.values for z0_j in z0s]).T
     state = stepper.blocks[0]  # z, one row per member
@@ -573,15 +551,17 @@ def simulate(sys, z0, T: float, dt: float, on_rows=None):
             rows[:, r] = state
             np.vecdot(stepper.blocks, stepper.blocks, out=squares[:, :, i])
             if r == _BLOCK_ROWS - 1 or i == n_steps:
-                start, k = i - r, r + 1
-                np.abs(rows[:, :k], out=magnitudes[:, :k]).max(
-                    axis=2, out=linf[:, start:i + 1])
+                start, block = i - r, rows[:, :r + 1]
+                # max |z| with no block of |z|; abs makes the -0.0 that
+                # np.maximum(0.0, -0.0) gives for a zero row 0.0
+                np.abs(np.maximum(block.max(axis=2), -block.min(axis=2)),
+                       out=linf[:, start:i + 1])
                 finite = np.isfinite(linf[:, start:i + 1])
                 if not finite.all():
                     step = int(np.argmin(finite.all(axis=0)))
                     raise SimulationDiverged(start + step, int(np.argmin(finite[:, step])))
                 if on_rows is not None:
-                    on_rows(times[start:i + 1], rows[:, :k] if batch else rows[0, :k])
+                    on_rows(times[start:i + 1], block if batch else block[0])
             if i < n_steps:
                 stepper.advance(i)
     # the norms, computed in place to keep one (m, steps) array per column

@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 import sympy
 
-from satiss import Grid, StateVector, assemble_closed_loop, brs_check, \
-    build_kdv_operator, case1_params, case2_params, check_axioms, \
-    cosine_disturbance, dissipation_report, estimate_embedding_constant, \
-    fit_semiglobal, globalize, gronwall_gap, hilbert_norm_map, iss_certificate, \
-    norm_l2, pointwise_linf_map, simulate, smooth_initial_data, \
-    trajectory_observers, zero_disturbance
+from satiss import DisturbanceSignal, Grid, SaturatedSystem, StateVector, \
+    brs_check, build_kdv_operator, case1_params, case2_params, check_axioms, \
+    dissipation_report, estimate_embedding_constant, fit_semiglobal, globalize, \
+    gronwall_gap, hilbert_norm_map, iss_certificate, norm_l2, pointwise_linf_map, \
+    simulate, smooth_initial_data, trajectory_observers
 from satiss.cli import reproduce_figure1
 from satiss.system import dissipativity_gate
 
@@ -79,7 +78,7 @@ def test_criterion_2_dissipativity_gate_and_consistency():
 
 def test_criterion_3_linear_closed_loop_decay(kdv127, z0_cosine):
     start = time.perf_counter()
-    sys_lin = assemble_closed_loop(kdv127, None, zero_disturbance())
+    sys_lin = SaturatedSystem(kdv127, None, DisturbanceSignal())
     traj = simulate(sys_lin, z0_cosine, 9.0, 1e-3)
     norms = traj.observables["norm_l2"]
     bound = np.exp(-traj.times) * norms[0] ** 2
@@ -97,7 +96,7 @@ def test_criterion_4_case1_decrease(kdv127, decay_C, z0_cosine):
     assert params.M == 2.0
     assert params.alpha > 0.0
 
-    sys_sat = assemble_closed_loop(kdv127, sigma, cosine_disturbance(0.05, 1.0))
+    sys_sat = SaturatedSystem(kdv127, sigma, DisturbanceSignal(0.05, 1.0))
     traj = simulate(sys_sat, z0_cosine, 9.0, 1e-3)
     traj.observables.update((name, series(traj)) for name, series
                             in trajectory_observers(params).items())
@@ -113,7 +112,7 @@ def test_criterion_5_case2_semiglobal_decay(kdv127, decay_C, grid127):
     start = time.perf_counter()
     c_s = estimate_embedding_constant(grid127, n_samples=400, rng_seed=11)
     sigma = pointwise_linf_map(1.0, L)
-    sys_sat = assemble_closed_loop(kdv127, sigma, zero_disturbance())
+    sys_sat = SaturatedSystem(kdv127, sigma, DisturbanceSignal())
     worst_ratio = 0.0
     for ir, r in enumerate((0.5, 1.0, 2.0, 4.0)):
         params = case2_params(decay_C, c_s, r)
@@ -142,8 +141,8 @@ def test_criterion_6_gap_bound(kdv127, grid127):
         sigma = pointwise_linf_map(1.0, L) if rng.random() < 0.5 \
             else hilbert_norm_map(1.0)
         z0 = smooth_initial_data(grid127, kdv127, rng.uniform(1.0, 4.0), rng)
-        d = cosine_disturbance(rng.uniform(0.01, 0.1), rng.uniform(0.5, 3.0))
-        sys_sat = assemble_closed_loop(kdv127, sigma, zero_disturbance())
+        d = DisturbanceSignal(rng.uniform(0.01, 0.1), rng.uniform(0.5, 3.0))
+        sys_sat = SaturatedSystem(kdv127, sigma, DisturbanceSignal())
         gap = gronwall_gap(sys_sat, z0, d, 4.0, 1e-3)
         assert gap.conservative_violations == 0
     elapsed = time.perf_counter() - start
@@ -154,8 +153,8 @@ def test_criterion_6_gap_bound(kdv127, grid127):
 
 def test_criterion_7_globalization(kdv127, grid127):
     start = time.perf_counter()
-    sys_sat = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
-                                   zero_disturbance())
+    sys_sat = SaturatedSystem(kdv127, pointwise_linf_map(1.0, L),
+                              DisturbanceSignal())
     fit = fit_semiglobal(sys_sat, [1.0, 2.0, 4.0], 5, 9.0, 1e-3, 777)
     details = []
     for r in (2.0, 4.0):
@@ -197,8 +196,8 @@ def test_criterion_8_figure1_reproduction(tmp_path):
 
 def test_criterion_9_iss_certificate(kdv127, grid127):
     start = time.perf_counter()
-    sys_sat = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
-                                   zero_disturbance())
+    sys_sat = SaturatedSystem(kdv127, pointwise_linf_map(1.0, L),
+                              DisturbanceSignal())
     targets = np.linspace(0.5, 5.0, 20)
     d_amps = [0.0, 0.0, 0.02, 0.05, 0.1]
     d_freqs = [1.0, 0.7, 1.9]
@@ -207,8 +206,8 @@ def test_criterion_9_iss_certificate(kdv127, grid127):
         rng = np.random.default_rng((900, i))
         z0s.append(smooth_initial_data(grid127, kdv127, targets[i], rng))
         amp = d_amps[i % 5]
-        ds.append(zero_disturbance() if amp == 0.0
-                  else cosine_disturbance(amp, d_freqs[i % 3]))
+        ds.append(DisturbanceSignal() if amp == 0.0
+                  else DisturbanceSignal(amp, d_freqs[i % 3]))
     cert = iss_certificate(sys_sat, z0s, ds, 9.0, 1e-3)
     assert cert.ensemble_size == 20
     assert cert.max_violation <= 1e-6
@@ -216,8 +215,8 @@ def test_criterion_9_iss_certificate(kdv127, grid127):
     # the disturbed-saturated reference run is covered by the reachability
     # bound carried by the saturation constants
     x = grid127.interior_nodes()
-    traj = simulate(assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
-                                         cosine_disturbance(0.05, 1.0)),
+    traj = simulate(SaturatedSystem(kdv127, pointwise_linf_map(1.0, L),
+                                    DisturbanceSignal(0.05, 1.0)),
                     StateVector(grid127, 1.0 - np.cos(x)), 9.0, 1e-3)
     ok, _ = brs_check(traj, pointwise_linf_map(1.0, L).item5_C0)
     assert ok

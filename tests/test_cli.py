@@ -461,8 +461,13 @@ def test_cli_unusable_input_is_config_error(tmp_path, capsys, horizon, extra, me
     ("analysis.safety = 0.5\n", "line 8: unknown field 'analysis.safety'"),
     ("analysis.axioms_amplitude = 3.0\n",
      "line 8: unknown field 'analysis.axioms_amplitude'"),
+    ("analysis.semiglobal_r = 1.0, -2.0\n",
+     "field 'analysis.semiglobal_r' must be positive"),
+    ("analysis.semiglobal_r = 0\n", "field 'analysis.semiglobal_r' must be positive"),
+    ("time.dt = 0.0005\n", "line 8: field 'time.dt' is already set on line 5"),
 ], ids=["no_certificate_members", "no_semiglobal_samples", "no_axiom_samples",
-        "zero_graph_norm", "deleted_safety", "deleted_axioms_amplitude"])
+        "zero_graph_norm", "deleted_safety", "deleted_axioms_amplitude",
+        "negative_semiglobal_r", "zero_semiglobal_r", "repeated_key"])
 def test_cli_out_of_range_field_writes_nothing(tmp_path, capsys, extra, message):
     # each value is refused by its schema row, and a key without a row (the
     # settings that only ever took one value have none), before the output

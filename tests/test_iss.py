@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from satiss import CertificationError, Grid, ParameterError, StateVector, \
-    assemble_closed_loop, brs_check, build_kdv_operator, cli, iss, system, cosine_disturbance, fit_semiglobal, \
-    globalize, gronwall_gap, hilbert_norm_map, iss_certificate, norm_graph, \
-    norm_l2, pointwise_linf_map, simulate, smooth_initial_data, zero_disturbance
+from satiss import CertificationError, DisturbanceSignal, Grid, ParameterError, \
+    SaturatedSystem, StateVector, brs_check, build_kdv_operator, cli, iss, system, \
+    fit_semiglobal, globalize, gronwall_gap, hilbert_norm_map, iss_certificate, \
+    norm_graph, norm_l2, pointwise_linf_map, simulate, smooth_initial_data
 from satiss.iss import SemiGlobalFit, _majorizing_exponential_fit
 
 from conftest import L
@@ -25,8 +25,8 @@ def test_smooth_initial_data_normalization(grid127, kdv127):
 
 
 def test_gronwall_gap_zero_disturbance(kdv127, z0_cosine):
-    sys_sat = assemble_closed_loop(kdv127, hilbert_norm_map(1.0), zero_disturbance())
-    report = gronwall_gap(sys_sat, z0_cosine, zero_disturbance(), 0.5, 1e-3)
+    sys_sat = SaturatedSystem(kdv127, hilbert_norm_map(1.0), DisturbanceSignal())
+    report = gronwall_gap(sys_sat, z0_cosine, DisturbanceSignal(), 0.5, 1e-3)
     assert np.all(report.gap == 0.0)
     assert np.all(report.plain_bound == 0.0)
     assert np.all(report.conservative_bound == 0.0)
@@ -34,17 +34,17 @@ def test_gronwall_gap_zero_disturbance(kdv127, z0_cosine):
 
 
 def test_gronwall_gap_disturbed(kdv127, z0_cosine):
-    sys_sat = assemble_closed_loop(kdv127, hilbert_norm_map(1.0), zero_disturbance())
-    report = gronwall_gap(sys_sat, z0_cosine, cosine_disturbance(0.05, 1.0), 3.0, 1e-3)
+    sys_sat = SaturatedSystem(kdv127, hilbert_norm_map(1.0), DisturbanceSignal())
+    report = gronwall_gap(sys_sat, z0_cosine, DisturbanceSignal(0.05, 1.0), 3.0, 1e-3)
     assert report.conservative_violations == 0
     assert np.all(report.conservative_bound >= report.plain_bound - 1e-12)
     assert np.max(report.gap) > 0.0
 
 
 def test_gap_report_csv(tmp_path, kdv127, z0_cosine):
-    sys_sat = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
-                                   zero_disturbance())
-    report = gronwall_gap(sys_sat, z0_cosine, cosine_disturbance(0.02, 1.0),
+    sys_sat = SaturatedSystem(kdv127, pointwise_linf_map(1.0, L),
+                              DisturbanceSignal())
+    report = gronwall_gap(sys_sat, z0_cosine, DisturbanceSignal(0.02, 1.0),
                           0.05, 1e-2)
     path = tmp_path / "gap.csv"
     report.write_csv(path)
@@ -75,21 +75,21 @@ def test_majorizing_fit_flags_growth():
 
 def test_fit_semiglobal_requires_undisturbed(kdv127):
     sigma = pointwise_linf_map(1.0, L)
-    sys_dist = assemble_closed_loop(kdv127, sigma, cosine_disturbance(0.05, 1.0))
+    sys_dist = SaturatedSystem(kdv127, sigma, DisturbanceSignal(0.05, 1.0))
     with pytest.raises(ParameterError, match="undisturbed"):
         fit_semiglobal(sys_dist, [1.0], 2, 1.0, 1e-3, 0)
-    sys_free = assemble_closed_loop(kdv127, sigma, zero_disturbance())
+    sys_free = SaturatedSystem(kdv127, sigma, DisturbanceSignal())
     with pytest.raises(ParameterError):
         fit_semiglobal(sys_free, [], 2, 1.0, 1e-3, 0)
     # a cosine of amplitude 0 is the zero disturbance
-    for d in (zero_disturbance(), cosine_disturbance(0.0, 3.0)):
-        fit = fit_semiglobal(assemble_closed_loop(kdv127, sigma, d), [1.0], 1,
+    for d in (DisturbanceSignal(), DisturbanceSignal(0.0, 3.0)):
+        fit = fit_semiglobal(SaturatedSystem(kdv127, sigma, d), [1.0], 1,
                              0.01, 1e-3, 0)
         assert fit.mu_of_r.shape == (1,)
 
 
 def test_fit_semiglobal_linear_rate_radius_independent(kdv127):
-    sys_lin = assemble_closed_loop(kdv127, None, zero_disturbance())
+    sys_lin = SaturatedSystem(kdv127, None, DisturbanceSignal())
     fit = fit_semiglobal(sys_lin, [0.5, 2.0, 8.0], 3, 5.0, 1e-3, 321)
     mus = fit.mu_of_r
     assert np.all(np.isfinite(mus))
@@ -100,8 +100,8 @@ def test_fit_semiglobal_saturated_rate_nonincreasing(kdv127):
     # graph-norm-r smooth data only saturates appreciably once r is large,
     # so the radius sweep reaches into that regime; consecutive rates carry
     # a fit-noise slack while the overall drop must be genuine
-    sys_sat = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
-                                   zero_disturbance())
+    sys_sat = SaturatedSystem(kdv127, pointwise_linf_map(1.0, L),
+                              DisturbanceSignal())
     fit = fit_semiglobal(sys_sat, [0.5, 1.0, 2.0, 4.0, 8.0, 32.0], 4, 5.0, 1e-3, 321)
     mus = fit.mu_of_r
     assert np.all(np.isfinite(mus))
@@ -157,8 +157,8 @@ def test_fit_at_matches_radii_relatively():
 
 
 def test_globalize_on_fitted_ensembles(kdv127):
-    sys_sat = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
-                                   zero_disturbance())
+    sys_sat = SaturatedSystem(kdv127, pointwise_linf_map(1.0, L),
+                              DisturbanceSignal())
     fit = fit_semiglobal(sys_sat, [1.0, 2.0], 3, 8.0, 1e-3, 123)
     T_r, K_g, mu_g = globalize(fit, 2.0)
     # a radius that np.isclose matches to 2.0 reads the fitted one's ensemble
@@ -173,11 +173,11 @@ def test_globalize_on_fitted_ensembles(kdv127):
 
 
 def test_certificate_all_undisturbed(kdv127, grid127):
-    sys_sat = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
-                                   zero_disturbance())
+    sys_sat = SaturatedSystem(kdv127, pointwise_linf_map(1.0, L),
+                              DisturbanceSignal())
     rng = np.random.default_rng(1)
     z0s = [smooth_initial_data(grid127, kdv127, t, rng) for t in (0.5, 1.0, 2.0)]
-    ds = [zero_disturbance()] * 3
+    ds = [DisturbanceSignal()] * 3
     cert = iss_certificate(sys_sat, z0s, ds, 4.0, 1e-3)
     assert cert.rho_gain == 0.0
     assert cert.ensemble_size == 3
@@ -185,23 +185,23 @@ def test_certificate_all_undisturbed(kdv127, grid127):
 
 
 def test_certificate_all_zero_initial_state(kdv127, grid127):
-    sys_sat = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
-                                   zero_disturbance())
+    sys_sat = SaturatedSystem(kdv127, pointwise_linf_map(1.0, L),
+                              DisturbanceSignal())
     zero = StateVector(grid127, np.zeros(127))
-    ds = [cosine_disturbance(a, 1.0) for a in (0.02, 0.05)]
+    ds = [DisturbanceSignal(a, 1.0) for a in (0.02, 0.05)]
     cert = iss_certificate(sys_sat, [zero, zero], ds, 3.0, 1e-3)
     assert cert.valid()
     assert cert.rho_gain > 0.0
 
 
 def test_certificate_monotone_gain_on_nested_ensembles(kdv127, grid127):
-    sys_sat = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
-                                   zero_disturbance())
+    sys_sat = SaturatedSystem(kdv127, pointwise_linf_map(1.0, L),
+                              DisturbanceSignal())
     rng = np.random.default_rng(8)
     core_z = [smooth_initial_data(grid127, kdv127, 1.0, rng) for _ in range(2)]
-    core_d = [zero_disturbance(), cosine_disturbance(0.03, 1.0)]
+    core_d = [DisturbanceSignal(), DisturbanceSignal(0.03, 1.0)]
     extra_z = core_z + [smooth_initial_data(grid127, kdv127, 2.0, rng)]
-    extra_d = core_d + [cosine_disturbance(0.1, 0.7)]
+    extra_d = core_d + [DisturbanceSignal(0.1, 0.7)]
     small = iss_certificate(sys_sat, core_z, core_d, 3.0, 1e-3)
     large = iss_certificate(sys_sat, extra_z, extra_d, 3.0, 1e-3)
     assert large.rho_gain >= small.rho_gain - 1e-12
@@ -209,11 +209,11 @@ def test_certificate_monotone_gain_on_nested_ensembles(kdv127, grid127):
 
 
 def test_certificate_gain_cap(kdv127, grid127):
-    sys_sat = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
-                                   zero_disturbance())
+    sys_sat = SaturatedSystem(kdv127, pointwise_linf_map(1.0, L),
+                              DisturbanceSignal())
     zero = StateVector(grid127, np.zeros(127))
     with pytest.raises(CertificationError):
-        iss_certificate(sys_sat, [zero], [cosine_disturbance(0.05, 1.0)],
+        iss_certificate(sys_sat, [zero], [DisturbanceSignal(0.05, 1.0)],
                         2.0, 1e-3, rho_cap=1e-9)
 
 
@@ -221,10 +221,10 @@ def test_certificate_gain_cap_names_the_worst_member(kdv127, grid127):
     # the envelope of the undisturbed member and the gain of each disturbed
     # one, worked out from single-member runs: the middle member needs the
     # larger gain, and a cap at the smaller one fails on it
-    loop = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L))
+    loop = SaturatedSystem(kdv127, pointwise_linf_map(1.0, L))
     z0s = [smooth_initial_data(grid127, kdv127, r, np.random.default_rng(i))
            for i, r in enumerate((0.3, 2.0, 0.5))]
-    ds = [cosine_disturbance(0.05, 0.7), cosine_disturbance(0.1, 1.9), zero_disturbance()]
+    ds = [DisturbanceSignal(0.05, 0.7), DisturbanceSignal(0.1, 1.9), DisturbanceSignal()]
     T, dt = 2.0, 1e-3
     runs = [simulate(replace(loop, d=d), z0, T, dt) for d, z0 in zip(ds, z0s)]
     times, free = runs[2].times, runs[2].observables["norm_l2"]
@@ -243,8 +243,8 @@ def test_certificate_gain_cap_names_the_worst_member(kdv127, grid127):
 
 
 def test_certificate_rejects_bad_ensembles(kdv127, grid127):
-    sys_sat = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
-                                   zero_disturbance())
+    sys_sat = SaturatedSystem(kdv127, pointwise_linf_map(1.0, L),
+                              DisturbanceSignal())
     zero = StateVector(grid127, np.zeros(127))
     with pytest.raises(ParameterError):
         iss_certificate(sys_sat, [], [], 1.0, 1e-3)
@@ -253,11 +253,11 @@ def test_certificate_rejects_bad_ensembles(kdv127, grid127):
 
 
 def test_certificate_kv_text(kdv127, grid127):
-    sys_sat = assemble_closed_loop(kdv127, pointwise_linf_map(1.0, L),
-                                   zero_disturbance())
+    sys_sat = SaturatedSystem(kdv127, pointwise_linf_map(1.0, L),
+                              DisturbanceSignal())
     rng = np.random.default_rng(2)
     cert = iss_certificate(sys_sat, [smooth_initial_data(grid127, kdv127, 1.0, rng)],
-                           [zero_disturbance()], 1.0, 1e-3)
+                           [DisturbanceSignal()], 1.0, 1e-3)
     text = cert.as_kv_text()
     keys = {line.split("=", 1)[0] for line in text.strip().splitlines()}
     assert keys == {"K", "mu", "rho_gain", "ensemble_size", "max_violation", "valid"}
@@ -265,7 +265,7 @@ def test_certificate_kv_text(kdv127, grid127):
 
 def test_brs_check_contraction_and_adversarial(kdv127, grid127, z0_cosine):
     sigma = pointwise_linf_map(1.0, L)
-    sys_free = assemble_closed_loop(kdv127, sigma, zero_disturbance())
+    sys_free = SaturatedSystem(kdv127, sigma, DisturbanceSignal())
     traj = simulate(sys_free, z0_cosine, 2.0, 1e-3)
     ok, worst = brs_check(traj, sigma.item5_C0)
     assert ok
@@ -273,7 +273,7 @@ def test_brs_check_contraction_and_adversarial(kdv127, grid127, z0_cosine):
 
     # growing from the origin under disturbance: an under-declared constant
     # must be caught
-    sys_dist = assemble_closed_loop(kdv127, sigma, cosine_disturbance(0.05, 1.0))
+    sys_dist = SaturatedSystem(kdv127, sigma, DisturbanceSignal(0.05, 1.0))
     zero = StateVector(grid127, np.zeros(127))
     traj = simulate(sys_dist, zero, 2.0, 1e-3)
     ok, worst = brs_check(traj, 1e-9)
@@ -290,8 +290,8 @@ def test_iss_certificate_batch_matches_member_runs(monkeypatch):
     config["time.T"] = 0.5
     grid = Grid(config["domain.L"], config["domain.n_interior"])
     A = build_kdv_operator(grid)
-    loop = assemble_closed_loop(A, pointwise_linf_map(config["saturation.level"],
-                                                      config["domain.L"]))
+    loop = SaturatedSystem(A, pointwise_linf_map(config["saturation.level"],
+                                                 config["domain.L"]))
     batched = cli._run_certificate(config, loop, grid, A, 0.5, config["time.dt"])
 
     def one_by_one(systems, z0s, T, dt, **kwargs):

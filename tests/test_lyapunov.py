@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from satiss import Grid, InfeasibleParameters, LyapunovParams, ParameterError, \
-    StateVector, assemble_closed_loop, case1_params, case2_params, \
-    cosine_disturbance, dissipation_report, estimate_embedding_constant, \
-    hilbert_norm_map, measure_decay_constant, norm_graph, norm_l2, norm_linf, \
-    simulate, trajectory_observers, zero_disturbance
+from satiss import DisturbanceSignal, Grid, InfeasibleParameters, LyapunovParams, \
+    ParameterError, SaturatedSystem, StateVector, case1_params, case2_params, \
+    dissipation_report, estimate_embedding_constant, hilbert_norm_map, \
+    measure_decay_constant, norm_graph, norm_l2, norm_linf, simulate, \
+    trajectory_observers
 from satiss.system import Trajectory
 
 from conftest import L, dense_operator, random_states, simulate_states
@@ -169,8 +169,8 @@ def test_dissipation_report_requires_three_steps(grid127):
 def test_dissipation_report_needs_the_recorded_series(kdv127, decay_C, z0_cosine):
     # V1 is read from the trajectory, so a run whose series were not filled
     # in cannot report it
-    sys_sat = assemble_closed_loop(kdv127, hilbert_norm_map(1.0),
-                                   cosine_disturbance(0.05, 1.0))
+    sys_sat = SaturatedSystem(kdv127, hilbert_norm_map(1.0),
+                              DisturbanceSignal(0.05, 1.0))
     traj, states = simulate_states(sys_sat, z0_cosine, 0.01, 1e-3)
     with pytest.raises(ParameterError, match="V1 series was not recorded"):
         dissipation_report(traj, "V1", 1.0, 0.0)
@@ -190,7 +190,7 @@ def test_dissipation_report_needs_the_recorded_series(kdv127, decay_C, z0_cosine
 
 def test_linear_loop_satisfies_quadratic_decrease(kdv127, z0_cosine):
     # dV/dt <= -V for V = ||z||^2 along the unsaturated loop
-    sys_lin = assemble_closed_loop(kdv127, None, zero_disturbance())
+    sys_lin = SaturatedSystem(kdv127, None, DisturbanceSignal())
     traj = simulate(sys_lin, z0_cosine, 3.0, 1e-3)
     report = dissipation_report(traj, "V", alpha_coeff=1.0, rho_gain=0.0)
     assert report.violation_count == 0
@@ -201,7 +201,7 @@ def test_case1_report_zero_violations(kdv127, decay_C, z0_cosine):
     sigma = hilbert_norm_map(1.0)
     params = case1_params(decay_C, sigma)
     assert params.M == 2.0
-    sys_sat = assemble_closed_loop(kdv127, sigma, cosine_disturbance(0.05, 1.0))
+    sys_sat = SaturatedSystem(kdv127, sigma, DisturbanceSignal(0.05, 1.0))
     traj = simulate(sys_sat, z0_cosine, 2.0, 1e-3)
     traj.observables.update((name, f(traj)) for name, f
                             in trajectory_observers(params).items())
